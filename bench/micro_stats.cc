@@ -13,7 +13,6 @@
 #include "stats/bootstrap.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
 #include "stats/histogram.hh"
 #include "stats/kde.hh"
 #include "stats/similarity.hh"
@@ -37,16 +36,16 @@ bimodalSample(size_t n, uint64_t seed)
 }
 
 void
-BM_KsStatistic(benchmark::State &state)
+BM_KsDistance(benchmark::State &state)
 {
     size_t n = static_cast<size_t>(state.range(0));
     auto a = bimodalSample(n, 1);
     auto b = bimodalSample(n, 2);
     for (auto _ : state)
-        benchmark::DoNotOptimize(stats::ksStatistic(a, b));
+        benchmark::DoNotOptimize(stats::ksDistance(a, b));
     state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_KsStatistic)->Range(64, 16384)->Complexity();
+BENCHMARK(BM_KsDistance)->Range(64, 16384)->Complexity();
 
 void
 BM_Namd(benchmark::State &state)

@@ -445,9 +445,7 @@ main(int argc, char **argv)
 
     std::vector<simd::Backend> runnable;
     sharp::json::Value runnable_json = sharp::json::Value::makeArray();
-    for (simd::Backend b :
-         {simd::Backend::Avx512, simd::Backend::Avx2,
-          simd::Backend::Neon, simd::Backend::Scalar}) {
+    for (simd::Backend b : simd::compiledBackends()) {
         if (!simd::backendRunnable(b))
             continue;
         runnable.push_back(b);

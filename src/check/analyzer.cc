@@ -187,7 +187,7 @@ checkMetadata(const std::string &text, CheckResult &out)
     if (auto backend = doc.get("Configuration",
                                "repro_simd_backend")) {
         bool known = false;
-        for (const std::string &name : simd::knownBackendNames())
+        for (const std::string &name : simd::recordedBackendNames())
             known = known || name == *backend;
         if (!known) {
             out.report(
@@ -198,7 +198,7 @@ checkMetadata(const std::string &text, CheckResult &out)
                 "unknown-simd-backend",
                 "metadata records SIMD backend '" + *backend +
                     "', which this build does not know",
-                suggestName(*backend, simd::knownBackendNames()));
+                suggestName(*backend, simd::recordedBackendNames()));
         }
     }
 

@@ -162,7 +162,7 @@ auditMetadata(const serve::Campaign &campaign,
     // was edited or written by a foreign build, which is an error.
     if (auto backend = doc.get(sec, "repro_simd_backend")) {
         bool known = false;
-        for (const std::string &name : simd::knownBackendNames())
+        for (const std::string &name : simd::recordedBackendNames())
             known = known || name == *backend;
         if (!known) {
             fileFinding(out, Severity::Error, mdPath,
@@ -172,7 +172,7 @@ auditMetadata(const serve::Campaign &campaign,
                             *backend +
                             "', which this build does not know",
                         suggestName(*backend,
-                                    simd::knownBackendNames()));
+                                    simd::recordedBackendNames()));
         }
     }
 }

@@ -11,7 +11,7 @@
 #include "core/sample_series.hh"
 #include "simd/dispatch.hh"
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
+#include "stats/similarity.hh"
 #include "stats/special.hh"
 
 namespace sharp
@@ -64,8 +64,8 @@ statsCacheCutoverValue()
 }
 
 /**
- * NaN-safe ordering that counts its invocations. For NaN-free data it
- * is exactly operator< — so sorts and searches produce bit-identical
+ * simd::nanLess, counting its invocations. For NaN-free data it is
+ * exactly operator< — so sorts and searches produce bit-identical
  * sequences to std::sort in the batch paths — and with NaNs present it
  * is still a strict weak ordering (NaNs form one equivalence class at
  * the end) where raw operator< would hand std::sort undefined
@@ -79,11 +79,7 @@ struct CountingLess
     operator()(double a, double b) const
     {
         ++*count;
-        if (std::isnan(b))
-            return !std::isnan(a);
-        if (std::isnan(a))
-            return false;
-        return a < b;
+        return simd::nanLess(a, b);
     }
 };
 
@@ -307,14 +303,14 @@ double
 StatsCache::ksHalves()
 {
     if (owner.size() < 2)
-        throw std::invalid_argument("ksStatistic requires non-empty samples");
+        throw std::invalid_argument("ksDistance requires non-empty samples");
     if (batchMode()) {
         CountingLess cmp{&work.comparisons};
         std::vector<double> a = owner.firstHalf();
         std::vector<double> b = owner.secondHalf();
         std::sort(a.begin(), a.end(), cmp);
         std::sort(b.begin(), b.end(), cmp);
-        return stats::ksStatisticSorted(a, b);
+        return stats::ksDistanceSorted(a, b);
     }
     sync();
     if (ksVersion == owner.version())
@@ -322,7 +318,7 @@ StatsCache::ksHalves()
     // The walk itself is inherently linear (the statistic is a sup over
     // every merge point); what the cache removes is the per-eval
     // sorting and copying.
-    ksValue = stats::ksStatisticSorted(lowHalf, highHalf);
+    ksValue = stats::ksDistanceSorted(lowHalf, highHalf);
     ksVersion = owner.version();
     return ksValue;
 }

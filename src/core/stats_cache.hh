@@ -137,7 +137,7 @@ class StatsCache
 
     /**
      * KS statistic between the first floor(n/2) samples and the rest —
-     * bit-identical to stats::ksStatistic(firstHalf(), secondHalf()).
+     * bit-identical to stats::ksDistance(firstHalf(), secondHalf()).
      * Requires n >= 2. Memoized per version.
      */
     double ksHalves();

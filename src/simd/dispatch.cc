@@ -25,9 +25,8 @@ namespace simd
 namespace
 {
 
-/** The four backends best-first: the probe order of resolveBackend. */
-constexpr Backend kProbeOrder[] = {Backend::Avx512, Backend::Avx2,
-                                   Backend::Neon, Backend::Scalar};
+/** The backends best-first: the probe order of resolveBackend. */
+constexpr Backend kProbeOrder[] = {Backend::Avx2, Backend::Scalar};
 
 std::atomic<const KernelTable *> &
 activeTablePointer()
@@ -65,18 +64,20 @@ backendName(Backend backend)
     switch (backend) {
     case Backend::Scalar:
         return "scalar";
-    case Backend::Neon:
-        return "neon";
     case Backend::Avx2:
         return "avx2";
-    case Backend::Avx512:
-        return "avx512";
     }
     return "scalar";
 }
 
 std::vector<std::string>
 knownBackendNames()
+{
+    return {"avx2", "scalar"};
+}
+
+std::vector<std::string>
+recordedBackendNames()
 {
     return {"avx512", "avx2", "neon", "scalar"};
 }
@@ -86,15 +87,14 @@ parseBackendName(const std::string &name)
 {
     if (name == "scalar")
         return Backend::Scalar;
-    if (name == "neon")
-        return Backend::Neon;
     if (name == "avx2")
         return Backend::Avx2;
-    if (name == "avx512")
-        return Backend::Avx512;
+    if (name == "avx512" || name == "neon")
+        throw std::invalid_argument(
+            "SIMD backend '" + name +
+            "' was retired; runnable backends: " + runnableBackendList());
     std::string message = "unknown SIMD backend '" + name +
-                          "'; known backends: avx512, avx2, neon, "
-                          "scalar";
+                          "'; known backends: avx2, scalar";
     std::string hint = check::suggestName(name, knownBackendNames());
     if (!hint.empty())
         message += " — " + hint;
@@ -107,20 +107,8 @@ backendCompiled(Backend backend)
     switch (backend) {
     case Backend::Scalar:
         return true;
-    case Backend::Neon:
-#if defined(SHARP_SIMD_HAVE_NEON)
-        return true;
-#else
-        return false;
-#endif
     case Backend::Avx2:
 #if defined(SHARP_SIMD_HAVE_AVX2)
-        return true;
-#else
-        return false;
-#endif
-    case Backend::Avx512:
-#if defined(SHARP_SIMD_HAVE_AVX512)
         return true;
 #else
         return false;
@@ -135,28 +123,9 @@ backendSupported(Backend backend)
     switch (backend) {
     case Backend::Scalar:
         return true;
-    case Backend::Neon:
-        // NEON (Advanced SIMD) is architecturally mandatory on
-        // AArch64, so the compile gate is the whole probe.
-#if defined(__aarch64__)
-        return true;
-#else
-        return false;
-#endif
     case Backend::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Avx512:
-        // The avx512 TU is compiled with f/bw/dq/vl (the Skylake-X
-        // baseline), so require all four.
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx512f") != 0 &&
-               __builtin_cpu_supports("avx512bw") != 0 &&
-               __builtin_cpu_supports("avx512dq") != 0 &&
-               __builtin_cpu_supports("avx512vl") != 0;
 #else
         return false;
 #endif
@@ -186,21 +155,9 @@ kernelTable(Backend backend)
     switch (backend) {
     case Backend::Scalar:
         return detail::scalarTable();
-    case Backend::Neon:
-#if defined(SHARP_SIMD_HAVE_NEON)
-        return detail::neonTable();
-#else
-        break;
-#endif
     case Backend::Avx2:
 #if defined(SHARP_SIMD_HAVE_AVX2)
         return detail::avx2Table();
-#else
-        break;
-#endif
-    case Backend::Avx512:
-#if defined(SHARP_SIMD_HAVE_AVX512)
-        return detail::avx512Table();
 #else
         break;
 #endif
@@ -278,13 +235,6 @@ kernels()
         table = activeTablePointer().load(std::memory_order_acquire);
     }
     return *table;
-}
-
-double
-ksSortedReference(const double *a, size_t na, const double *b,
-                  size_t nb)
-{
-    return detail::ksSortedReferenceScalar(a, na, b, nb);
 }
 
 } // namespace simd

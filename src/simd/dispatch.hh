@@ -8,8 +8,8 @@
  * the two-run order-statistic search, the half-split KS merge walk,
  * and the Kahan/moment accumulation loops. This module gives each of
  * those a function-pointer slot in a KernelTable and selects an
- * implementation once per process: a CPUID probe picks the best
- * backend in priority order AVX-512 > AVX2 > NEON > scalar, and the
+ * implementation once per process: a CPUID probe picks AVX2 when the
+ * CPU has it and the scalar reference otherwise, and the
  * `SHARP_SIMD_BACKEND` environment variable overrides the probe
  * (unknown or unsupported names fail fast, with a did-you-mean hint).
  * The launcher records the dispatched backend as `repro_simd_backend`
@@ -38,16 +38,17 @@
  *    translation unit is compiled with -ffp-contract=off so no backend
  *    can fuse the multiply-add and round differently.
  *
- * The parity suite (tests/test_simd.cc, label `simd`) runs every
- * compiled backend against scalar on randomized and adversarial
- * inputs; bench/stopping_hotpath times the kernels per backend and
- * gates vector backends at >= 1.5x over scalar on the merge and KS
- * kernels at n = 1e5.
+ * The parity suite (tests/test_simd.cc, label `simd`) runs the AVX2
+ * backend against scalar, and both against the reference KS walk, on
+ * randomized and adversarial inputs; bench/stopping_hotpath times the
+ * kernels per backend and gates AVX2 at >= 1.5x over scalar on the
+ * merge and KS kernels at n = 1e5.
  */
 
 #ifndef SHARP_SIMD_DISPATCH_HH
 #define SHARP_SIMD_DISPATCH_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -58,14 +59,31 @@ namespace sharp
 namespace simd
 {
 
-/** Kernel implementations this build may carry. */
+/**
+ * Kernel implementations this build may carry. Values 1 and 3 named
+ * the retired neon and avx512 tiers; the survivors keep theirs.
+ */
 enum class Backend
 {
     Scalar = 0,
-    Neon,
-    Avx2,
-    Avx512,
+    Avx2 = 2,
 };
+
+/**
+ * The NaN-aware strict weak ordering every sorted run in sharp uses:
+ * exactly operator< on NaN-free data, NaNs one equivalence class at
+ * the end otherwise, where raw operator< would hand std::sort
+ * undefined behaviour.
+ */
+inline bool
+nanLess(double a, double b)
+{
+    if (std::isnan(b))
+        return !std::isnan(a);
+    if (std::isnan(a))
+        return false;
+    return a < b;
+}
 
 /**
  * One function pointer per hot kernel. All pointers are non-null in
@@ -85,9 +103,10 @@ struct KernelTable
                             size_t nb, double *out);
 
     /**
-     * Two-sample KS statistic over two ascending runs; bit-identical
-     * to ksSortedReference (sizes past 2^31 and NaN inputs take the
-     * reference path internally).
+     * Two-sample KS statistic over two ascending (nanLess-ordered)
+     * runs; bit-identical to the reference walk
+     * detail::ksSortedReferenceScalar (sizes past 2^31 take that walk
+     * directly).
      */
     double (*ksSorted)(const double *a, size_t na, const double *b,
                        size_t nb);
@@ -111,16 +130,25 @@ struct KernelTable
     double (*sumSquaredDeviations)(const double *v, size_t n, double m);
 };
 
-/** Lowercase stable name: "scalar", "neon", "avx2", "avx512". */
+/** Lowercase stable name: "scalar" or "avx2". */
 const char *backendName(Backend backend);
 
 /** Every backend name this build could ever accept, probe order. */
 std::vector<std::string> knownBackendNames();
 
 /**
+ * Every name an artifact may record as `repro_simd_backend`: the
+ * known names plus the retired "avx512" and "neon" tiers earlier
+ * builds dispatched to. Artifacts naming them stay valid, because the
+ * kernel contract made every backend's output bit-identical.
+ */
+std::vector<std::string> recordedBackendNames();
+
+/**
  * Parse a backend name.
  * @throws std::invalid_argument for unknown names, with a
- *         did-you-mean hint when the name is plausibly a typo.
+ *         did-you-mean hint when the name is plausibly a typo, and for
+ *         retired names, naming the runnable backends.
  */
 Backend parseBackendName(const std::string &name);
 
@@ -138,8 +166,8 @@ bool backendRunnable(Backend backend);
 
 /**
  * The backend @p request selects: null/empty picks the best runnable
- * backend (AVX-512 > AVX2 > NEON > scalar); otherwise the named
- * backend, validated.
+ * backend (AVX2, else scalar); otherwise the named backend,
+ * validated.
  * @throws std::invalid_argument for unknown names (did-you-mean hint)
  *         and for backends this build or CPU cannot run.
  */
@@ -169,14 +197,6 @@ const KernelTable &kernels();
  * bench loop). @throws std::invalid_argument when not compiled in.
  */
 const KernelTable &kernelTable(Backend backend);
-
-/**
- * The scalar reference KS walk (the executable specification the fast
- * path must reproduce bit for bit; stats::ksStatisticSortedReference
- * delegates here).
- */
-double ksSortedReference(const double *a, size_t na, const double *b,
-                         size_t nb);
 
 } // namespace simd
 } // namespace sharp

@@ -19,17 +19,17 @@ namespace simd
 namespace detail
 {
 
-/**
- * The NaN-aware strict weak ordering shared with core::StatsCache:
- * exactly operator< on NaN-free data, NaNs one equivalence class at
- * the end otherwise.
- */
-bool nanLess(double a, double b);
-
 uint64_t mergeSortedScalar(const double *a, size_t na, const double *b,
                            size_t nb, double *out);
 double ksSortedScalar(const double *a, size_t na, const double *b,
                       size_t nb);
+/**
+ * The reference KS walk: evaluates the ECDF gap in doubles at every
+ * tie-group boundary. It is the executable specification every KS
+ * kernel must reproduce bit for bit (the oracle the tests call), and
+ * ksSortedScalar's path for samples past 2^31, where its integer
+ * guard would overflow.
+ */
 double ksSortedReferenceScalar(const double *a, size_t na,
                                const double *b, size_t nb);
 double orderStatTwoRunsScalar(const double *a, size_t na,
@@ -38,25 +38,20 @@ double orderStatTwoRunsScalar(const double *a, size_t na,
 double kahanSumScalar(const double *v, size_t n);
 double sumSquaredDeviationsScalar(const double *v, size_t n, double m);
 
-/** True when any of the @p n doubles is NaN (scalar prescan). */
-bool hasNanScalar(const double *v, size_t n);
-
 /**
  * The KS merge walk split into four independent merge-path chunks
  * whose steps interleave, breaking the walk's serial compare-advance
  * dependency chain (the scalar walk is latency-bound, not
  * throughput-bound). Bit-identical to ksSortedScalar; preconditions
  * (enforced by callers): NaN-free inputs, both sizes in [1, 2^31].
- * ISA-independent — the win is instruction-level parallelism, so
- * every vector backend shares this one definition (chunked.cc).
+ * ISA-independent — the win is instruction-level parallelism, so it
+ * is compiled at the baseline ISA (chunked.cc) and bound by avx2.
  */
 double ksSortedChunked(const double *a, size_t na, const double *b,
                        size_t nb);
 
 const KernelTable &scalarTable();
 const KernelTable &avx2Table();
-const KernelTable &avx512Table();
-const KernelTable &neonTable();
 
 } // namespace detail
 } // namespace simd

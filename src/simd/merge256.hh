@@ -1,8 +1,7 @@
 /**
  * @file
- * 256-bit bitonic merge of two sorted double arrays. Included by both
- * the AVX2 and AVX-512 translation units (AVX-512 hosts execute the
- * 256-bit forms natively), so everything here is `static inline`.
+ * 256-bit bitonic merge of two sorted double arrays, included by the
+ * AVX2 translation unit; everything here is `static inline`.
  *
  * The run-batched merge dies on random interleavings — the average
  * run is one or two elements, so per-run overhead eats the lane win.

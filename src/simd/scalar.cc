@@ -21,25 +21,6 @@ namespace simd
 namespace detail
 {
 
-bool
-nanLess(double a, double b)
-{
-    if (std::isnan(b))
-        return !std::isnan(a);
-    if (std::isnan(a))
-        return false;
-    return a < b;
-}
-
-bool
-hasNanScalar(const double *v, size_t n)
-{
-    for (size_t i = 0; i < n; ++i)
-        if (std::isnan(v[i]))
-            return true;
-    return false;
-}
-
 uint64_t
 mergeSortedScalar(const double *a, size_t na, const double *b,
                   size_t nb, double *out)

@@ -15,13 +15,14 @@ Ecdf::Ecdf(std::vector<double> sample) : sorted(std::move(sample))
 {
     if (sorted.empty())
         throw std::invalid_argument("Ecdf requires a non-empty sample");
-    std::sort(sorted.begin(), sorted.end());
+    std::sort(sorted.begin(), sorted.end(), simd::nanLess);
 }
 
 double
 Ecdf::operator()(double x) const
 {
-    auto it = std::upper_bound(sorted.begin(), sorted.end(), x);
+    auto it =
+        std::upper_bound(sorted.begin(), sorted.end(), x, simd::nanLess);
     return static_cast<double>(it - sorted.begin()) /
            static_cast<double>(sorted.size());
 }
@@ -38,58 +39,13 @@ Ecdf::inverse(double p) const
     return sorted[std::min(i, sorted.size() - 1)];
 }
 
-// The two-sample KS walks (the double-precision reference and the
-// integer-guard single-step fast path it specifies) live in src/simd
-// as dispatchable kernels: scalar.cc holds the former anonymous-
-// namespace implementations verbatim, and the vector backends batch
-// the same walk over tie-group runs. Every backend is bit-identical
-// to the scalar kernel by contract (tests/test_simd.cc).
-
-double
-ksStatistic(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        throw std::invalid_argument("ksStatistic requires non-empty samples");
-    std::vector<double> sa = a, sb = b;
-    std::sort(sa.begin(), sa.end());
-    std::sort(sb.begin(), sb.end());
-    return simd::kernels().ksSorted(sa.data(), sa.size(), sb.data(),
-                                    sb.size());
-}
-
-double
-ksStatistic(const Ecdf &a, const Ecdf &b)
-{
-    return ksStatisticSorted(a.sortedSample(), b.sortedSample());
-}
-
-double
-ksStatisticSorted(const std::vector<double> &a,
-                  const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        throw std::invalid_argument("ksStatistic requires non-empty samples");
-    return simd::kernels().ksSorted(a.data(), a.size(), b.data(),
-                                    b.size());
-}
-
-double
-ksStatisticSortedReference(const std::vector<double> &a,
-                           const std::vector<double> &b)
-{
-    if (a.empty() || b.empty())
-        throw std::invalid_argument("ksStatistic requires non-empty samples");
-    return simd::ksSortedReference(a.data(), a.size(), b.data(),
-                                   b.size());
-}
-
 double
 ksStatisticAgainstSorted(const std::vector<double> &sorted,
                          const std::function<double(double)> &cdf)
 {
     if (sorted.empty())
         throw std::invalid_argument(
-            "ksStatisticAgainst requires a non-empty sample");
+            "ksStatisticAgainstSorted requires a non-empty sample");
     size_t n = sorted.size();
     double nd = static_cast<double>(n);
     double sup = 0.0;
@@ -100,18 +56,6 @@ ksStatisticAgainstSorted(const std::vector<double> &sorted,
         sup = std::max({sup, upper, lower});
     }
     return sup;
-}
-
-double
-ksStatisticAgainst(const std::vector<double> &sample,
-                   const std::function<double(double)> &cdf)
-{
-    if (sample.empty())
-        throw std::invalid_argument(
-            "ksStatisticAgainst requires a non-empty sample");
-    std::vector<double> sorted = sample;
-    std::sort(sorted.begin(), sorted.end());
-    return ksStatisticAgainstSorted(sorted, cdf);
 }
 
 } // namespace stats

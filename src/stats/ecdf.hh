@@ -1,8 +1,8 @@
 /**
  * @file
  * Empirical cumulative distribution function — the central artifact of
- * SHARP's distribution-based comparisons: the KS statistic is a supremum
- * distance between two of these.
+ * SHARP's distribution-based comparisons: the KS distance
+ * (stats::ksDistance) is a supremum distance between two of these.
  */
 
 #ifndef SHARP_STATS_ECDF_HH
@@ -23,7 +23,10 @@ namespace stats
 class Ecdf
 {
   public:
-    /** Build from a sample (copied and sorted). Must be non-empty. */
+    /**
+     * Build from a sample (copied and sorted, NaNs last). Must be
+     * non-empty.
+     */
     explicit Ecdf(std::vector<double> sample);
 
     /** Evaluate F(x). */
@@ -43,48 +46,12 @@ class Ecdf
 };
 
 /**
- * Two-sample Kolmogorov–Smirnov statistic:
- * sup_x |F1(x) - F2(x)|, computed exactly by a linear merge of the two
- * sorted samples. This is the paper's distribution similarity metric
- * and the basis of the KS stopping rule.
- *
- * Both samples must be non-empty.
+ * One-sample Kolmogorov–Smirnov statistic against a theoretical CDF,
+ * sup_x |F_n(x) - F(x)|, over an already-sorted sample (ascending).
+ * Used by the distribution classifier to score candidate parametric
+ * fits. @p cdf must be non-decreasing into [0, 1]. The two-sample
+ * distance is stats::ksDistance (similarity.hh).
  */
-double ksStatistic(const std::vector<double> &a,
-                   const std::vector<double> &b);
-
-/** KS statistic over pre-built ECDFs. */
-double ksStatistic(const Ecdf &a, const Ecdf &b);
-
-/**
- * KS statistic over two already-sorted samples (ascending) — the
- * linear merge walk with no copying or sorting. This is the form the
- * incremental statistics engine (core::StatsCache) evaluates against
- * its maintained sorted runs; bit-identical to ksStatistic on the same
- * multisets.
- */
-double ksStatisticSorted(const std::vector<double> &a,
-                         const std::vector<double> &b);
-
-/**
- * Reference implementation of the two-sample sorted walk: evaluates the
- * ECDF gap in doubles at every tie-group boundary. ksStatisticSorted's
- * integer-guarded fast path must agree with this bit for bit (the
- * equivalence property tests enforce it); it is also the fallback for
- * samples too large for the integer scaling.
- */
-double ksStatisticSortedReference(const std::vector<double> &a,
-                                  const std::vector<double> &b);
-
-/**
- * One-sample Kolmogorov–Smirnov statistic against a theoretical CDF:
- * sup_x |F_n(x) - F(x)|. Used by the distribution classifier to score
- * candidate parametric fits. @p cdf must be non-decreasing into [0, 1].
- */
-double ksStatisticAgainst(const std::vector<double> &sample,
-                          const std::function<double(double)> &cdf);
-
-/** One-sample KS over an already-sorted sample (ascending). */
 double ksStatisticAgainstSorted(const std::vector<double> &sorted,
                                 const std::function<double(double)> &cdf);
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "simd/dispatch.hh"
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
 #include "stats/kde.hh"
 
 namespace sharp
@@ -78,22 +78,29 @@ namd(const std::vector<double> &x, const std::vector<double> &y)
         throw std::invalid_argument("namd requires non-empty samples");
 
     std::vector<double> sx = x, sy = y;
-    std::sort(sx.begin(), sx.end());
-    std::sort(sy.begin(), sy.end());
+    std::sort(sx.begin(), sx.end(), simd::nanLess);
+    std::sort(sy.begin(), sy.end(), simd::nanLess);
     return namdSorted(sx, sy);
-}
-
-double
-ksDistance(const std::vector<double> &x, const std::vector<double> &y)
-{
-    return ksStatistic(x, y);
 }
 
 double
 ksDistanceSorted(const std::vector<double> &sx,
                  const std::vector<double> &sy)
 {
-    return ksStatisticSorted(sx, sy);
+    if (sx.empty() || sy.empty())
+        throw std::invalid_argument("ksDistance requires non-empty "
+                                    "samples");
+    return simd::kernels().ksSorted(sx.data(), sx.size(), sy.data(),
+                                    sy.size());
+}
+
+double
+ksDistance(const std::vector<double> &x, const std::vector<double> &y)
+{
+    std::vector<double> sx = x, sy = y;
+    std::sort(sx.begin(), sx.end(), simd::nanLess);
+    std::sort(sy.begin(), sy.end(), simd::nanLess);
+    return ksDistanceSorted(sx, sy);
 }
 
 double
@@ -132,8 +139,8 @@ wasserstein1(const std::vector<double> &x, const std::vector<double> &y)
         throw std::invalid_argument("wasserstein1 requires non-empty "
                                     "samples");
     std::vector<double> sx = x, sy = y;
-    std::sort(sx.begin(), sx.end());
-    std::sort(sy.begin(), sy.end());
+    std::sort(sx.begin(), sx.end(), simd::nanLess);
+    std::sort(sy.begin(), sy.end(), simd::nanLess);
     return wasserstein1Sorted(sx, sy);
 }
 
@@ -222,8 +229,8 @@ SimilarityReport::compute(const std::vector<double> &x,
     // the KDE picks its bandwidth in arrival order before sorting
     // internally, so handing it the sorted copies would change it.
     std::vector<double> sx = x, sy = y;
-    std::sort(sx.begin(), sx.end());
-    std::sort(sy.begin(), sy.end());
+    std::sort(sx.begin(), sx.end(), simd::nanLess);
+    std::sort(sy.begin(), sy.end(), simd::nanLess);
 
     SimilarityReport report;
     report.namd = namdSorted(sx, sy);

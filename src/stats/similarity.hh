@@ -44,13 +44,25 @@ double namdSorted(const std::vector<double> &sx,
                   const std::vector<double> &sy);
 
 /**
- * Two-sample Kolmogorov–Smirnov distance in [0, 1]; re-exported here so
- * similarity consumers need one header. See ecdf.hh.
+ * Two-sample Kolmogorov–Smirnov distance sup_x |F1(x) - F2(x)| in
+ * [0, 1]: the paper's distribution similarity metric and the basis of
+ * the KS stopping rule. Copies and sorts both samples (NaNs last, so
+ * the result never depends on input order) and walks them with
+ * ksDistanceSorted.
+ *
+ * @throws std::invalid_argument if either sample is empty.
  */
 double ksDistance(const std::vector<double> &x,
                   const std::vector<double> &y);
 
-/** KS distance over already-sorted samples (ascending). */
+/**
+ * KS distance over already-sorted samples (ascending, NaNs last as
+ * simd::nanLess orders them) — the one entry point to the dispatched
+ * sorted two-sample kernel, exact at ties and bit-identical on every
+ * SIMD backend.
+ *
+ * @throws std::invalid_argument if either sample is empty.
+ */
 double ksDistanceSorted(const std::vector<double> &sx,
                         const std::vector<double> &sy);
 

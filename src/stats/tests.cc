@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
+#include "stats/similarity.hh"
 #include "stats/special.hh"
 
 namespace sharp
@@ -17,7 +17,7 @@ namespace stats
 TestResult
 ksTest(const std::vector<double> &x, const std::vector<double> &y)
 {
-    double d = ksStatistic(x, y);
+    double d = ksDistance(x, y);
     double nx = static_cast<double>(x.size());
     double ny = static_cast<double>(y.size());
     double ne = nx * ny / (nx + ny);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "check/analyzer.hh"
@@ -823,6 +825,45 @@ TEST(CliCheck, CampaignFlagRunsTheAudit)
 
     auto missing = runCheck({"check", "--campaign"});
     EXPECT_EQ(missing.status, 2);
+}
+
+TEST(CliCheck, RetiredSimdBackendsInOldArtifactsStayClean)
+{
+    // Earlier builds dispatched to avx512 and neon tiers and recorded
+    // them as provenance. Decisions are bit-identical on every
+    // backend, so such artifacts must keep checking clean, alone and
+    // inside a campaign state directory.
+    namespace fs = std::filesystem;
+    for (const std::string backend : {"avx512", "neon"}) {
+        fs::path dir = fs::temp_directory_path() /
+                       ("sharp_check_retired_" + backend);
+        fs::remove_all(dir);
+        fs::copy(campaign("clean"), dir, fs::copy_options::recursive);
+        fs::path md = dir / "campaigns" / "c000001" / "result.md";
+        std::ifstream in(md);
+        std::stringstream text;
+        text << in.rdbuf();
+        in.close();
+        std::string body = text.str();
+        const std::string key = "- **repro_max_failures**: 10\n";
+        size_t at = body.find(key);
+        ASSERT_NE(at, std::string::npos);
+        body.insert(at + key.size(),
+                    "- **repro_simd_backend**: " + backend + "\n");
+        std::ofstream(md) << body;
+
+        auto file = runCheck({"check", md.string()});
+        EXPECT_EQ(file.status, 0) << backend << "\n" << file.out;
+        EXPECT_EQ(file.out.find("unknown-simd-backend"),
+                  std::string::npos)
+            << file.out;
+        auto audit = runCheck({"check", "--campaign", dir.string()});
+        EXPECT_EQ(audit.status, 0) << backend << "\n" << audit.out;
+        EXPECT_EQ(audit.out.find("unknown-simd-backend"),
+                  std::string::npos)
+            << audit.out;
+        fs::remove_all(dir);
+    }
 }
 
 TEST(CliCheck, DirectoryExpansionNotesSkippedFiles)

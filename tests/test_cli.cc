@@ -163,16 +163,20 @@ TEST(Cli, ReproduceWarnsOnSimdBackendMismatch)
     EXPECT_EQ(same.status, 0) << same.err;
     EXPECT_EQ(same.err.find("SIMD backend"), std::string::npos);
 
-    // Rewrite the provenance as if captured on another backend.
+    // Rewrite the provenance as if captured on another backend,
+    // including the retired tiers older artifacts may name.
     std::string active(sharp::simd::activeBackendName());
-    std::string other = active == "scalar" ? "avx2" : "scalar";
-    doc.set("Configuration", "repro_simd_backend", other);
-    doc.save(path.string());
-    CliResult warned = run({"reproduce", path.string()});
-    EXPECT_EQ(warned.status, 0) << warned.err;
-    EXPECT_NE(warned.err.find("SIMD backend '" + other + "'"),
-              std::string::npos);
-    EXPECT_NE(warned.err.find(active), std::string::npos);
+    for (std::string other :
+         {std::string(active == "scalar" ? "avx2" : "scalar"),
+          std::string("avx512"), std::string("neon")}) {
+        doc.set("Configuration", "repro_simd_backend", other);
+        doc.save(path.string());
+        CliResult warned = run({"reproduce", path.string()});
+        EXPECT_EQ(warned.status, 0) << warned.err;
+        EXPECT_NE(warned.err.find("SIMD backend '" + other + "'"),
+                  std::string::npos);
+        EXPECT_NE(warned.err.find(active), std::string::npos);
+    }
     fs::remove(path);
 }
 

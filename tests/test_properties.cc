@@ -22,7 +22,6 @@
 #include "sim/workload.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
 #include "stats/histogram.hh"
 #include "stats/similarity.hh"
 
@@ -408,8 +407,8 @@ interleave(uint64_t seed,
         case 1: {
             if (n < 2)
                 break;
-            double batch = stats::ksStatistic(series.firstHalf(),
-                                              series.secondHalf());
+            double batch = stats::ksDistance(series.firstHalf(),
+                                             series.secondHalf());
             ASSERT_TRUE(sameBits(series.stats().ksHalves(), batch))
                 << "ksHalves at n=" << n;
             break;

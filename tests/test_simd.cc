@@ -1,13 +1,15 @@
 /**
  * @file
- * Parity suite for the SIMD dispatch layer: every backend compiled
- * into this binary and runnable on this CPU must reproduce the scalar
- * reference kernels bit for bit — outputs, supremum statistics, and
+ * Parity suite for the SIMD dispatch layer: the AVX2 backend, when
+ * compiled into this binary and runnable on this CPU, must reproduce
+ * the scalar kernels bit for bit — outputs, supremum statistics, and
  * comparison counts alike — on randomized and adversarial inputs
  * (NaNs, duplicate plateaus, constants, signed zeros, lane-straddling
- * sizes). Also covers the dispatch machinery itself: backend naming,
- * the SHARP_SIMD_BACKEND override, did-you-mean errors, and
- * setActiveBackend() rewiring observed through a real StatsCache.
+ * sizes), and both KS kernels must reproduce the reference walk
+ * detail::ksSortedReferenceScalar. Also covers the dispatch machinery
+ * itself: backend naming, the SHARP_SIMD_BACKEND override,
+ * did-you-mean errors, retired backend names, and setActiveBackend()
+ * rewiring observed through a real StatsCache.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +25,7 @@
 
 #include "core/sample_series.hh"
 #include "core/stats_cache.hh"
-#include "simd/dispatch.hh"
+#include "simd/kernels.hh"
 
 namespace
 {
@@ -61,7 +63,7 @@ runnableVectorBackends()
     return out;
 }
 
-/** The lane-width straddles every backend cares about (2, 4, 8). */
+/** The lane-width straddles around the 4-wide AVX2 loops. */
 const size_t kSizes[] = {0,  1,  2,  3,  4,  5,  7,  8,   9,
                          15, 16, 17, 31, 63, 64, 65, 255, 1000};
 
@@ -123,11 +125,15 @@ expectKsParity(const KernelTable &vec, const std::vector<double> &a,
 {
     if (a.empty() || b.empty())
         return; // KS is undefined on empty samples; callers pre-check.
-    double want = sharp::simd::kernelTable(Backend::Scalar)
-                      .ksSorted(a.data(), a.size(), b.data(), b.size());
+    double want = sharp::simd::detail::ksSortedReferenceScalar(
+        a.data(), a.size(), b.data(), b.size());
+    double scalar = sharp::simd::kernelTable(Backend::Scalar)
+                        .ksSorted(a.data(), a.size(), b.data(), b.size());
     double got = vec.ksSorted(a.data(), a.size(), b.data(), b.size());
+    EXPECT_TRUE(sameBits(want, scalar))
+        << what << ": reference " << want << " vs scalar " << scalar;
     EXPECT_TRUE(sameBits(want, got))
-        << what << ": scalar " << want << " vs vector " << got;
+        << what << ": reference " << want << " vs vector " << got;
 }
 
 void
@@ -342,15 +348,31 @@ TEST(SimdDispatch, UnknownBackendSuggests)
 
 TEST(SimdDispatch, NotRunnableBackendThrows)
 {
-    for (Backend b :
-         {Backend::Neon, Backend::Avx2, Backend::Avx512}) {
-        if (sharp::simd::backendRunnable(b))
-            continue;
-        EXPECT_THROW(
-            sharp::simd::resolveBackend(sharp::simd::backendName(b)),
-            std::invalid_argument);
-        EXPECT_THROW(sharp::simd::setActiveBackend(b),
-                     std::invalid_argument);
+    if (sharp::simd::backendRunnable(Backend::Avx2))
+        return; // nothing to refuse on an AVX2 host
+    EXPECT_THROW(sharp::simd::resolveBackend("avx2"),
+                 std::invalid_argument);
+    EXPECT_THROW(sharp::simd::setActiveBackend(Backend::Avx2),
+                 std::invalid_argument);
+}
+
+TEST(SimdDispatch, RetiredBackendThrowsNamingRunnableOnes)
+{
+    for (const char *retired : {"avx512", "neon"}) {
+        try {
+            sharp::simd::resolveBackend(retired);
+            FAIL() << "expected std::invalid_argument for " << retired;
+        } catch (const std::invalid_argument &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find(std::string("'") + retired +
+                                "' was retired"),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("runnable backends: "),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("scalar"), std::string::npos) << what;
+        }
     }
 }
 

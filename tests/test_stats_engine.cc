@@ -24,9 +24,10 @@
 #include "core/stats_cache.hh"
 #include "rng/sampler.hh"
 #include "rng/xoshiro.hh"
+#include "simd/kernels.hh"
 #include "stats/ci.hh"
 #include "stats/descriptive.hh"
-#include "stats/ecdf.hh"
+#include "stats/similarity.hh"
 
 namespace
 {
@@ -143,7 +144,7 @@ TEST_F(StatsEngine, KsHalvesBitEqualToBatchAtEverySize)
         s.append(xs[i]);
         if (i < 1)
             continue;
-        double batch = stats::ksStatistic(s.firstHalf(), s.secondHalf());
+        double batch = stats::ksDistance(s.firstHalf(), s.secondHalf());
         EXPECT_TRUE(bitEqual(s.stats().ksHalves(), batch))
             << "n=" << i + 1;
     }
@@ -159,7 +160,7 @@ TEST_F(StatsEngine, KsHalvesHandlesDuplicateHeavyData)
         s.append(static_cast<double>(gen.next() % 7));
         if (i < 1)
             continue;
-        double batch = stats::ksStatistic(s.firstHalf(), s.secondHalf());
+        double batch = stats::ksDistance(s.firstHalf(), s.secondHalf());
         ASSERT_TRUE(bitEqual(s.stats().ksHalves(), batch))
             << "n=" << i + 1;
     }
@@ -373,7 +374,7 @@ TEST_F(StatsEngine, ClearInvalidatesAndRecovers)
     EXPECT_DOUBLE_EQ(sorted[0], 1.0);
     EXPECT_DOUBLE_EQ(sorted[1], 2.0);
     EXPECT_TRUE(bitEqual(s.stats().ksHalves(),
-                         stats::ksStatistic({2.0}, {1.0})));
+                         stats::ksDistance({2.0}, {1.0})));
 }
 
 TEST_F(StatsEngine, CopyAndMoveRebuildCachesSafely)
@@ -393,7 +394,7 @@ TEST_F(StatsEngine, CopyAndMoveRebuildCachesSafely)
     EXPECT_EQ(moved.size(), xs.size() + 1);
     double moved_ks = moved.stats().ksHalves();
     double batch =
-        stats::ksStatistic(moved.firstHalf(), moved.secondHalf());
+        stats::ksDistance(moved.firstHalf(), moved.secondHalf());
     EXPECT_TRUE(bitEqual(moved_ks, batch));
 
     SampleSeries assigned;
@@ -435,8 +436,9 @@ TEST_F(StatsEngine, FastKsWalkMatchesReferenceOnAdversarialData)
             std::fill(b.begin(), b.end(), 4.0);
         std::sort(a.begin(), a.end());
         std::sort(b.begin(), b.end());
-        ASSERT_TRUE(bitEqual(stats::ksStatisticSorted(a, b),
-                             stats::ksStatisticSortedReference(a, b)))
+        ASSERT_TRUE(bitEqual(stats::ksDistanceSorted(a, b),
+                             sharp::simd::detail::ksSortedReferenceScalar(
+                                 a.data(), a.size(), b.data(), b.size())))
             << "trial " << trial;
     }
 }
