@@ -4,9 +4,10 @@
  *
  * Measures the steady-state cost of one stopping-rule evaluation —
  * append one sample, consult the rule — at series sizes 10^2..10^5,
- * once with the incremental statistics engine (core::StatsCache) and
- * once with it disabled via the kill switch, which recomputes every
- * statistic batch-style exactly as the pre-engine code did. Both modes
+ * once with the incremental statistics engine (core::StatsCache) at its
+ * shipped size cutover and once with the cutover at SIZE_MAX, which
+ * routes every accessor to the batch branch — the src/stats
+ * recomputation the pre-engine code did. Both modes
  * draw identical sample streams, so every decision (criterion,
  * threshold, stop flag, reason) must agree bit for bit; the bench
  * asserts this and exits non-zero on any divergence.
@@ -104,6 +105,17 @@ struct Measurement
     std::vector<StopDecision> decisions;
 };
 
+/**
+ * Select a mode: the shipped cutover (cached) or SIZE_MAX, the batch
+ * reference at every size. Measurements restore the shipped cutover.
+ */
+void
+selectMode(bool cached)
+{
+    sharp::core::setStatsCacheCutover(
+        cached ? sharp::core::kDefaultStatsCacheCutover : SIZE_MAX);
+}
+
 uint64_t
 caseSeed(const std::string &rule, size_t n)
 {
@@ -139,7 +151,7 @@ runWindow(const std::string &rule_name, const std::string &stream,
           uint64_t seed, size_t n, size_t evals, bool cached,
           Accumulator &into)
 {
-    sharp::core::setStatsCacheEnabled(cached);
+    selectMode(cached);
 
     auto rule = sharp::core::StoppingRuleFactory::instance().make(rule_name);
     auto sampler = sharp::rng::syntheticByName(stream).make();
@@ -167,7 +179,7 @@ runWindow(const std::string &rule_name, const std::string &stream,
     into.m.totalComparisons += delta.comparisons;
     into.m.totalPmfEvals += delta.pmfEvals;
 
-    sharp::core::setStatsCacheEnabled(true);
+    selectMode(true);
 }
 
 /**
@@ -267,7 +279,7 @@ minWallNs(size_t windows, Fn &&fn)
 double
 calibrationWallSeconds(bool cached, bool quick)
 {
-    sharp::core::setStatsCacheEnabled(cached);
+    selectMode(cached);
     sharp::calibrate::CalibrationConfig config;
     config.jobs = 4;
     if (quick) {
@@ -278,7 +290,7 @@ calibrationWallSeconds(bool cached, bool quick)
     auto start = std::chrono::steady_clock::now();
     sharp::calibrate::runCalibration(config);
     auto stop = std::chrono::steady_clock::now();
-    sharp::core::setStatsCacheEnabled(true);
+    selectMode(true);
     return std::chrono::duration<double>(stop - start).count();
 }
 

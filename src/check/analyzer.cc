@@ -7,7 +7,6 @@
 #include "compare/bundle.hh"
 #include "compare/compare.hh"
 #include "core/config.hh"
-#include "core/stopping/stopping_rule.hh"
 #include "json/parser.hh"
 #include "launcher/fault_backend.hh"
 #include "launcher/reproduce.hh"
@@ -200,23 +199,6 @@ checkMetadata(const std::string &text, CheckResult &out)
                     "', which this build does not know",
                 suggestName(*backend, simd::recordedBackendNames()));
         }
-    }
-
-    if (!spec.statsCache &&
-        core::ruleHasCachedFastPath(spec.experiment.ruleName)) {
-        out.report(
-            Severity::Warning,
-            json::Location{static_cast<uint32_t>(findLine(
-                               text, "repro_stats_cache")),
-                           0},
-            "disabled-stats-cache",
-            "metadata pins rule '" + spec.experiment.ruleName +
-                "', which has an incremental fast path, to a run with "
-                "the statistics engine disabled "
-                "(repro_stats_cache=off); the reproduction recomputes "
-                "every statistic batch-style",
-            "decisions are bit-identical either way — unset "
-            "SHARP_STATS_CACHE to reproduce at full speed");
     }
 }
 

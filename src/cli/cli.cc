@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <csignal>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include <sys/stat.h>
 
@@ -249,22 +252,39 @@ exit codes: 0 ok, 1 error (compare --against: regression to
 )";
 
 /**
- * Parse --jobs (>= 1). Returns false (and reports) on bad input;
- * leaves @p jobs untouched when the flag is absent.
+ * Parse the numeric flag --@p key into @p target, leaving it untouched
+ * when the flag is absent. Integer targets take an unsigned decimal
+ * that is >= @p minimum and fits the type (so seeds span the full
+ * uint64_t range); floating-point targets take any number. A bad value
+ * is reported as "cmd: --key must be ..." and returns false, which
+ * every caller maps to exit 2.
  */
+template <typename T>
 bool
-parseJobs(const ParsedArgs &args, std::ostream &err, const char *cmd,
-          size_t &jobs)
+parseFlag(const ParsedArgs &args, std::ostream &err, const char *cmd,
+          const char *key, T &target, uint64_t minimum = 0)
 {
-    std::string value = args.get("jobs");
+    std::string value = args.get(key);
     if (value.empty())
         return true;
-    auto parsed = util::parseLong(value);
-    if (!parsed || *parsed < 1) {
-        err << cmd << ": --jobs must be an integer >= 1\n";
-        return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        auto parsed = util::parseDouble(value);
+        if (!parsed) {
+            err << cmd << ": --" << key << " must be a number\n";
+            return false;
+        }
+        target = *parsed;
+    } else {
+        auto parsed = util::parseUint64(value);
+        if (!parsed || *parsed < minimum ||
+            *parsed > static_cast<uint64_t>(
+                          std::numeric_limits<T>::max())) {
+            err << cmd << ": --" << key << " must be an integer >= "
+                << minimum << "\n";
+            return false;
+        }
+        target = static_cast<T>(*parsed);
     }
-    jobs = static_cast<size_t>(*parsed);
     return true;
 }
 
@@ -376,15 +396,8 @@ applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
         }
         spec.retry.backoffBaseSeconds = *parsed;
     }
-    std::string max_failures = args.get("max-failures");
-    if (!max_failures.empty()) {
-        auto parsed = util::parseLong(max_failures);
-        if (!parsed || *parsed < 0) {
-            err << "run: --max-failures must be an integer >= 0\n";
-            return false;
-        }
-        spec.maxFailures = static_cast<size_t>(*parsed);
-    }
+    if (!parseFlag(args, err, "run", "max-failures", spec.maxFailures))
+        return false;
     std::string rate = args.get("max-failure-rate");
     if (!rate.empty()) {
         auto parsed = util::parseDouble(rate);
@@ -523,7 +536,7 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     if (!config_path.empty()) {
         launcher::ReproSpec spec =
             launcher::ReproSpec::fromJson(json::parseFile(config_path));
-        if (!parseJobs(args, err, "run", spec.jobs))
+        if (!parseFlag(args, err, "run", "jobs", spec.jobs, 1))
             return 2;
         if (!applyFaultToleranceFlags(args, err, spec))
             return 2;
@@ -544,24 +557,10 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     core::StoppingRuleFactory::Params params;
     for (const char *key : {"threshold", "level", "count", "min",
                             "quantile", "prominence"}) {
-        std::string value = args.get(key);
-        if (!value.empty()) {
-            auto parsed = util::parseDouble(value);
-            if (!parsed) {
-                err << "run: --" << key << " must be a number\n";
-                return 2;
-            }
-            params[key] = *parsed;
-        }
+        if (!args.get(key).empty() &&
+            !parseFlag(args, err, "run", key, params[key]))
+            return 2;
     }
-
-    auto parse_count = [&](const char *key, long fallback) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return fallback;
-        auto parsed = util::parseLong(value);
-        return parsed ? *parsed : fallback;
-    };
 
     launcher::ReproSpec spec;
     if (!scenario_path.empty()) {
@@ -572,18 +571,18 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         spec.workload = workload;
         spec.machines = {machine_id};
     }
-    spec.day = static_cast<int>(parse_count("day", 0));
-    spec.seed = static_cast<uint64_t>(parse_count("seed", 1));
-    spec.concurrency =
-        static_cast<size_t>(parse_count("concurrency", 1));
-    if (!parseJobs(args, err, "run", spec.jobs))
+    spec.experiment.options.maxSamples = 2000;
+    if (!parseFlag(args, err, "run", "day", spec.day) ||
+        !parseFlag(args, err, "run", "seed", spec.seed) ||
+        !parseFlag(args, err, "run", "concurrency", spec.concurrency, 1) ||
+        !parseFlag(args, err, "run", "max",
+                   spec.experiment.options.maxSamples, 1) ||
+        !parseFlag(args, err, "run", "jobs", spec.jobs, 1) ||
+        !applyFaultToleranceFlags(args, err, spec)) {
         return 2;
+    }
     spec.experiment.ruleName = rule_name;
     spec.experiment.ruleParams = params;
-    spec.experiment.options.maxSamples =
-        static_cast<size_t>(parse_count("max", 2000));
-    if (!applyFaultToleranceFlags(args, err, spec))
-        return 2;
 
     std::string label = scenario_path.empty() ?
                             workload + " @ " + machine_id :
@@ -630,20 +629,41 @@ cmdReproduce(const ParsedArgs &args, std::ostream &out,
     return 0;
 }
 
+/**
+ * The --metric column of a tidy CSV, measurements only: warmup rows and
+ * failed rows are dropped when those columns exist (the exclusion
+ * compare::captureBaseline applies), then --workload filters the rest.
+ * Cells that do not parse as numbers are skipped.
+ */
 std::vector<double>
 loadMetric(const std::string &path, const ParsedArgs &args)
 {
     record::CsvTable table = record::CsvTable::load(path);
     std::string metric = args.get("metric", "execution_time");
     std::string workload = args.get("workload");
-    if (!workload.empty()) {
-        return table.numericColumnWhere(metric, "workload", workload);
+    auto column = [&](const std::string &name) {
+        auto index = table.columnIndex(name);
+        if (!index)
+            throw std::out_of_range("no CSV column named '" + name + "'");
+        return *index;
+    };
+    size_t metricCol = column(metric);
+    std::optional<size_t> workloadCol;
+    if (!workload.empty())
+        workloadCol = column("workload");
+    auto warmupCol = table.columnIndex("warmup");
+    auto failureCol = table.columnIndex("failure");
+
+    std::vector<double> values;
+    for (size_t r = 0; r < table.numRows(); ++r) {
+        if ((warmupCol && table.cell(r, *warmupCol) == "true") ||
+            (failureCol && table.cell(r, *failureCol) != "none") ||
+            (workloadCol && table.cell(r, *workloadCol) != workload))
+            continue;
+        if (auto value = util::parseDouble(table.cell(r, metricCol)))
+            values.push_back(*value);
     }
-    // Exclude warmup rows when the column exists.
-    if (table.columnIndex("warmup")) {
-        return table.numericColumnWhere(metric, "warmup", "false");
-    }
-    return table.numericColumn(metric);
+    return values;
 }
 
 int
@@ -700,7 +720,7 @@ cmdBaseline(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     compare::CaptureOptions options;
     options.metric = args.get("metric", options.metric);
     options.groupBy = args.get("group-by", options.groupBy);
-    if (!parseJobs(args, err, "baseline capture", options.jobs))
+    if (!parseFlag(args, err, "baseline capture", "jobs", options.jobs, 1))
         return 2;
 
     try {
@@ -748,40 +768,14 @@ cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
     }
 
     compare::CompareTolerances tolerances;
-    auto parse_flag = [&](const char *key, double &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << "compare: --" << key << " must be a number\n";
-            return false;
-        }
-        target = *parsed;
-        return true;
-    };
-    if (!parse_flag("median-ratio", tolerances.medianRatio) ||
-        !parse_flag("median-slack", tolerances.medianSlack) ||
-        !parse_flag("ks-limit", tolerances.ksLimit) ||
-        !parse_flag("cv-limit", tolerances.cvLimit) ||
-        !parse_flag("level", tolerances.level)) {
-        return 2;
-    }
-    auto parse_count = [&](const char *key, auto &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < 0) {
-            err << "compare: --" << key
-                << " must be a non-negative integer\n";
-            return false;
-        }
-        target = static_cast<std::decay_t<decltype(target)>>(*parsed);
-        return true;
-    };
-    if (!parse_count("resamples", tolerances.resamples) ||
-        !parse_count("seed", tolerances.seed)) {
+    const char *cmd = "compare";
+    if (!parseFlag(args, err, cmd, "median-ratio", tolerances.medianRatio) ||
+        !parseFlag(args, err, cmd, "median-slack", tolerances.medianSlack) ||
+        !parseFlag(args, err, cmd, "ks-limit", tolerances.ksLimit) ||
+        !parseFlag(args, err, cmd, "cv-limit", tolerances.cvLimit) ||
+        !parseFlag(args, err, cmd, "level", tolerances.level) ||
+        !parseFlag(args, err, cmd, "resamples", tolerances.resamples) ||
+        !parseFlag(args, err, cmd, "seed", tolerances.seed)) {
         return 2;
     }
 
@@ -794,7 +788,7 @@ cmdCompareAgainst(const ParsedArgs &args, std::ostream &out,
         capture.metric = args.get("metric", baseline.metric);
         if (!baseline.groupBy.empty())
             capture.groupBy = baseline.groupBy;
-        if (!parseJobs(args, err, "compare", capture.jobs))
+        if (!parseFlag(args, err, "compare", "jobs", capture.jobs, 1))
             return 2;
         compare::BaselineBundle candidate =
             compare::captureBaseline(args.positional, capture);
@@ -858,30 +852,19 @@ cmdMicro(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 
     const auto &probe = micro::microByName(args.positional[0]);
     core::StoppingRuleFactory::Params params;
-    std::string threshold = args.get("threshold");
-    if (!threshold.empty()) {
-        auto parsed = util::parseDouble(threshold);
-        if (!parsed) {
-            err << "micro: --threshold must be a number\n";
-            return 2;
-        }
-        params["threshold"] = *parsed;
-    }
-    auto rule = core::StoppingRuleFactory::instance().make(
-        args.get("rule", "ks"), params);
+    if (!args.get("threshold").empty() &&
+        !parseFlag(args, err, "micro", "threshold", params["threshold"]))
+        return 2;
 
     launcher::LaunchOptions options;
     options.warmupRounds = 3;
     options.primaryMetric = "value";
     options.maxSamples = 500;
-    if (!parseJobs(args, err, "micro", options.jobs))
+    if (!parseFlag(args, err, "micro", "jobs", options.jobs, 1) ||
+        !parseFlag(args, err, "micro", "max", options.maxSamples, 2))
         return 2;
-    std::string max_flag = args.get("max");
-    if (!max_flag.empty()) {
-        auto parsed = util::parseLong(max_flag);
-        if (parsed && *parsed >= 2)
-            options.maxSamples = static_cast<size_t>(*parsed);
-    }
+    auto rule = core::StoppingRuleFactory::instance().make(
+        args.get("rule", "ks"), params);
 
     auto backend = std::make_shared<micro::MicroBackend>(probe);
     launcher::Launcher l(backend, std::move(rule), options);
@@ -904,35 +887,16 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     core::ExperimentConfig config;
     config.ruleName = args.get("rule", "ks");
     for (const char *key : {"threshold", "level", "count", "min"}) {
-        std::string value = args.get(key);
-        if (!value.empty()) {
-            auto parsed = util::parseDouble(value);
-            if (!parsed) {
-                err << "suite: --" << key << " must be a number\n";
-                return 2;
-            }
-            config.ruleParams[key] = *parsed;
-        }
-    }
-    std::string max_flag = args.get("max");
-    if (!max_flag.empty()) {
-        auto parsed = util::parseLong(max_flag);
-        if (!parsed || *parsed < 2) {
-            err << "suite: --max must be an integer >= 2\n";
+        if (!args.get(key).empty() &&
+            !parseFlag(args, err, "suite", key, config.ruleParams[key]))
             return 2;
-        }
-        config.options.maxSamples = static_cast<size_t>(*parsed);
-    } else {
-        config.options.maxSamples = 1000;
     }
-    std::string seed_flag = args.get("seed");
-    if (!seed_flag.empty()) {
-        auto parsed = util::parseLong(seed_flag);
-        if (parsed && *parsed >= 0)
-            config.seed = static_cast<uint64_t>(*parsed);
-    }
+    config.options.maxSamples = 1000;
     size_t jobs = 1;
-    if (!parseJobs(args, err, "suite", jobs))
+    if (!parseFlag(args, err, "suite", "max", config.options.maxSamples,
+                   2) ||
+        !parseFlag(args, err, "suite", "seed", config.seed) ||
+        !parseFlag(args, err, "suite", "jobs", jobs, 1))
         return 2;
     launcher::RetryPolicy retry;
     std::string retries_flag = args.get("retries");
@@ -993,29 +957,16 @@ cmdGate(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         err << "gate: baseline and candidate CSV files are required\n";
         return 2;
     }
-    auto baseline = loadMetric(args.positional[0], args);
-    auto candidate = loadMetric(args.positional[1], args);
-
     report::GateConfig config;
-    auto parse_flag = [&](const char *key, double &target) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << "gate: --" << key << " must be a number\n";
-            return false;
-        }
-        target = *parsed;
-        return true;
-    };
-    if (!parse_flag("slowdown", config.maxSlowdown) ||
-        !parse_flag("ks", config.maxKsDistance) ||
-        !parse_flag("alpha", config.alpha)) {
+    if (!parseFlag(args, err, "gate", "slowdown", config.maxSlowdown) ||
+        !parseFlag(args, err, "gate", "ks", config.maxKsDistance) ||
+        !parseFlag(args, err, "gate", "alpha", config.alpha)) {
         return 2;
     }
     if (args.has("larger-is-better"))
         config.largerIsWorse = false;
+    auto baseline = loadMetric(args.positional[0], args);
+    auto candidate = loadMetric(args.positional[1], args);
 
     report::GateResult result =
         report::evaluateGate(baseline, candidate, config);
@@ -1033,33 +984,13 @@ cmdCalibrate(const ParsedArgs &args, std::ostream &out,
              std::ostream &err)
 {
     calibrate::CalibrationConfig config;
-    auto parse_count = [&](const char *key, size_t &target,
-                           long minimum) {
-        std::string value = args.get(key);
-        if (value.empty())
-            return true;
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < minimum) {
-            err << "calibrate: --" << key << " must be an integer >= "
-                << minimum << "\n";
-            return false;
-        }
-        target = static_cast<size_t>(*parsed);
-        return true;
-    };
-    std::string seed_flag = args.get("seed");
-    if (!seed_flag.empty()) {
-        auto parsed = util::parseLong(seed_flag);
-        if (!parsed || *parsed < 0) {
-            err << "calibrate: --seed must be an integer >= 0\n";
-            return 2;
-        }
-        config.baseSeed = static_cast<uint64_t>(*parsed);
-    }
-    if (!parse_count("seeds", config.seedsPerCell, 1) ||
-        !parse_count("max", config.maxSamples, 2) ||
-        !parse_count("truth", config.truthSamples, 2) ||
-        !parseJobs(args, err, "calibrate", config.jobs)) {
+    if (!parseFlag(args, err, "calibrate", "seed", config.baseSeed) ||
+        !parseFlag(args, err, "calibrate", "seeds", config.seedsPerCell,
+                   1) ||
+        !parseFlag(args, err, "calibrate", "max", config.maxSamples, 2) ||
+        !parseFlag(args, err, "calibrate", "truth", config.truthSamples,
+                   2) ||
+        !parseFlag(args, err, "calibrate", "jobs", config.jobs, 1)) {
         return 2;
     }
     auto parse_list = [&](const char *key,
@@ -1335,28 +1266,12 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         err << "serve: --socket and --state-dir are required\n";
         return 2;
     }
-    auto parse_size = [&](const char *key, size_t fallback,
-                          long floor) -> long {
-        std::string value = args.get(key);
-        if (value.empty())
-            return static_cast<long>(fallback);
-        auto parsed = util::parseLong(value);
-        if (!parsed || *parsed < floor)
-            return -1;
-        return *parsed;
-    };
-    long shards = parse_size("shards", options.shards, 1);
-    long queued =
-        parse_size("max-queued", options.maxQueuedPerTenant, 1);
-    long failovers = parse_size("max-failovers", options.maxFailovers, 0);
-    if (shards < 0 || queued < 0 || failovers < 0) {
-        err << "serve: --shards/--max-queued must be integers >= 1, "
-               "--max-failovers an integer >= 0\n";
+    if (!parseFlag(args, err, "serve", "shards", options.shards, 1) ||
+        !parseFlag(args, err, "serve", "max-queued",
+                   options.maxQueuedPerTenant, 1) ||
+        !parseFlag(args, err, "serve", "max-failovers",
+                   options.maxFailovers))
         return 2;
-    }
-    options.shards = static_cast<size_t>(shards);
-    options.maxQueuedPerTenant = static_cast<size_t>(queued);
-    options.maxFailovers = static_cast<size_t>(failovers);
     std::string deadline = args.get("round-deadline");
     if (!deadline.empty()) {
         auto parsed = util::parseDouble(deadline);

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 
 #include "core/sample_series.hh"
 #include "simd/dispatch.hh"
@@ -22,46 +19,8 @@ namespace core
 namespace
 {
 
-bool
-initialStatsCacheEnabled()
-{
-    const char *env = std::getenv("SHARP_STATS_CACHE");
-    if (env != nullptr) {
-        std::string v(env);
-        for (char &c : v)
-            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-        if (v == "off" || v == "0" || v == "false" || v == "no")
-            return false;
-    }
-    return true;
-}
-
-std::atomic<bool> &
-statsCacheFlag()
-{
-    static std::atomic<bool> flag(initialStatsCacheEnabled());
-    return flag;
-}
-
-size_t
-initialStatsCacheCutover()
-{
-    const char *env = std::getenv("SHARP_STATS_CACHE_CUTOVER");
-    if (env != nullptr) {
-        char *end = nullptr;
-        unsigned long long parsed = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return static_cast<size_t>(parsed);
-    }
-    return kDefaultStatsCacheCutover;
-}
-
-std::atomic<size_t> &
-statsCacheCutoverValue()
-{
-    static std::atomic<size_t> cutover(initialStatsCacheCutover());
-    return cutover;
-}
+// Constant-initialized, so it is valid before any dynamic initializer.
+std::atomic<size_t> cutoverValue{kDefaultStatsCacheCutover};
 
 /**
  * simd::nanLess, counting its invocations. For NaN-free data it is
@@ -92,28 +51,16 @@ checkLevel(double level)
 
 } // anonymous namespace
 
-bool
-statsCacheEnabled()
-{
-    return statsCacheFlag().load(std::memory_order_relaxed);
-}
-
-void
-setStatsCacheEnabled(bool enabled)
-{
-    statsCacheFlag().store(enabled, std::memory_order_relaxed);
-}
-
 size_t
 statsCacheCutover()
 {
-    return statsCacheCutoverValue().load(std::memory_order_relaxed);
+    return cutoverValue.load(std::memory_order_relaxed);
 }
 
 void
 setStatsCacheCutover(size_t cutover)
 {
-    statsCacheCutoverValue().store(cutover, std::memory_order_relaxed);
+    cutoverValue.store(cutover, std::memory_order_relaxed);
 }
 
 StatsCache::StatsCache(const SampleSeries &owner_) : owner(owner_) {}
@@ -124,7 +71,7 @@ StatsCache::batchMode() const
     // The batch branches never touch the incremental structures, so a
     // small series pays nothing for the engine; the first access past
     // the cutover ingests the whole series in one pass (sync()).
-    return !statsCacheEnabled() || owner.size() <= statsCacheCutover();
+    return owner.size() <= statsCacheCutover();
 }
 
 void

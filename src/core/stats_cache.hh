@@ -31,27 +31,25 @@
  * batch recomputation in src/stats on the same data (NaN-free; with
  * NaNs the sorted view is still deterministic — NaNs order last —
  * where std::sort on the raw data would be undefined). This is what
- * keeps tests/baselines/calibration.json byte-identical with the cache
- * on or off.
+ * keeps tests/baselines/calibration.json byte-identical whichever
+ * branch answers.
  *
  * Results are memoized keyed on SampleSeries::version(), so a cached
  * artifact can never outlive the data it was computed from; rules stay
  * stateless with respect to the data.
- *
- * Kill switch: setStatsCacheEnabled(false) (or SHARP_STATS_CACHE=off
- * in the environment) makes every accessor recompute batch-style —
- * identical results, pre-engine cost profile. The bench uses this as
- * its batch reference; `sharp check` warns when a repro pins it off.
  *
  * Size cutover: below a few hundred samples the batch recomputation is
  * a handful of cache-resident sorts, and maintaining the incremental
  * structures costs more than it saves (BENCH_stopping.json showed the
  * CI rule at 0.24x at n=100). Accessors therefore take the batch
  * branch whenever the series is at or below statsCacheCutover()
- * (default 256, or SHARP_STATS_CACHE_CUTOVER in the environment); the
- * incremental structures are built in one pass on the first access
- * past the cutover. Results are bit-identical on both sides — the
- * batch branches *are* the src/stats recomputations.
+ * (default 256); the incremental structures are built in one pass on
+ * the first access past the cutover. Results are bit-identical on both
+ * sides — the batch branches *are* the src/stats recomputations.
+ *
+ * The cutover is also the batch-reference seam: tests and the bench set
+ * it to SIZE_MAX to force every accessor down the batch branch and
+ * compare against the incremental one (cutover 0).
  */
 
 #ifndef SHARP_CORE_STATS_CACHE_HH
@@ -71,20 +69,17 @@ namespace core
 
 class SampleSeries;
 
-/** Is the incremental fast path on (default) or batch fallback? */
-bool statsCacheEnabled();
-
-/** Toggle the incremental fast path process-wide. */
-void setStatsCacheEnabled(bool enabled);
-
 /**
  * The series-size cutover: accessors on a series of size <= this use
- * the batch path even with the engine enabled (small-n batch work is
- * cheaper than incremental upkeep; results are identical either way).
+ * the batch path (small-n batch work is cheaper than incremental
+ * upkeep; results are identical either way).
  */
 size_t statsCacheCutover();
 
-/** Set the cutover process-wide; 0 means incremental from n = 1. */
+/**
+ * Set the cutover process-wide; 0 means incremental from n = 1 and
+ * SIZE_MAX means batch at every size (the reference path).
+ */
 void setStatsCacheCutover(size_t cutover);
 
 /** The shipped default cutover (also the reset value for tests). */

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
-#include "core/stats_cache.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
 #include "launcher/faas_backend.hh"
@@ -73,6 +72,8 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
         out.error(doc, "wrong-type", "run spec must be a JSON object");
         return;
     }
+    // "stats_cache" is retired: the statistics engine has no off switch,
+    // so older specs and journal headers carrying it load and ignore it.
     static const std::vector<std::string> known = {
         "backend",     "workload",     "argv",
         "timeout",     "machines",     "day",
@@ -338,7 +339,6 @@ ReproSpec::fromJson(const json::Value &doc)
         spec.fault = FaultSpec::fromJson(*fault);
         spec.faultEnabled = true;
     }
-    spec.statsCache = doc.getBool("stats_cache", true);
     return spec;
 }
 
@@ -375,8 +375,6 @@ ReproSpec::toJson() const
         doc.set("retry", retry.toJson());
     if (faultEnabled)
         doc.set("fault", fault.toJson());
-    if (!statsCache)
-        doc.set("stats_cache", false);
     return doc;
 }
 
@@ -415,10 +413,6 @@ annotate(record::RunLog &log, const ReproSpec &spec)
     if (spec.faultEnabled)
         log.setConfigEntry("repro_fault",
                            json::write(spec.fault.toJson()));
-    // Record only the non-default: the engine state at record time (the
-    // kill switch is process-wide, so the spec field tracks it).
-    if (!spec.statsCache || !core::statsCacheEnabled())
-        log.setConfigEntry("repro_stats_cache", "off");
     // The dispatched SIMD backend is environment, not spec: decisions
     // are bitwise backend-invariant by the kernel contract, so this is
     // provenance for auditing, and `sharp reproduce` warns (not fails)
@@ -450,14 +444,14 @@ reproSpecFromMetadata(const record::MetadataDocument &doc)
             spec.machines.push_back(machine);
     }
     auto day = util::parseLong(require("repro_day"));
-    auto seed = util::parseLong(require("repro_seed"));
+    auto seed = util::parseUint64(require("repro_seed"));
     auto concurrency = util::parseLong(require("repro_concurrency"));
-    if (!day || !seed || seed < 0 || !concurrency || *concurrency < 1) {
+    if (!day || !seed || !concurrency || *concurrency < 1) {
         throw std::invalid_argument(
             "malformed numeric reproduction entries");
     }
     spec.day = static_cast<int>(*day);
-    spec.seed = static_cast<uint64_t>(*seed);
+    spec.seed = *seed;
     spec.concurrency = static_cast<size_t>(*concurrency);
     // Optional for metadata recorded before the parallel layer.
     if (auto jobs_entry = doc.get(sec, "repro_jobs")) {
@@ -499,15 +493,6 @@ reproSpecFromMetadata(const record::MetadataDocument &doc)
     if (auto fault = doc.get(sec, "repro_fault")) {
         spec.fault = FaultSpec::fromJson(json::parse(*fault));
         spec.faultEnabled = true;
-    }
-    if (auto stats_cache = doc.get(sec, "repro_stats_cache")) {
-        if (*stats_cache == "off" || *stats_cache == "0" ||
-            *stats_cache == "false" || *stats_cache == "no") {
-            spec.statsCache = false;
-        } else if (*stats_cache != "on") {
-            throw std::invalid_argument(
-                "malformed repro_stats_cache entry");
-        }
     }
     return spec;
 }

@@ -84,16 +84,6 @@ struct ReproSpec
     FaultSpec fault;
     /** True when the fault-injection wrapper is active. */
     bool faultEnabled = false;
-    /**
-     * Whether the incremental statistics engine's cached fast paths
-     * were enabled when the experiment ran (the SHARP_STATS_CACHE kill
-     * switch). Never changes measured values or decisions — the engine
-     * is bit-exact — but `sharp check` warns when metadata pins a rule
-     * with a cached fast path to a run that had the engine disabled,
-     * since the reproduction then pays the batch-recompute cost.
-     */
-    bool statsCache = true;
-
     /** Launch options equivalent to this spec. */
     LaunchOptions launchOptions() const;
 

@@ -93,21 +93,13 @@ recordsFromCsv(const std::string &path)
     return records;
 }
 
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-           text.compare(text.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
 } // namespace
 
 TraceData
 loadTrace(const std::string &path, const std::string &metric)
 {
     TraceData data;
-    if (endsWith(path, ".jsonl"))
+    if (util::endsWith(path, ".jsonl"))
         data.records = record::readJournal(path).records;
     else
         data.records = recordsFromCsv(path);

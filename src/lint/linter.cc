@@ -272,6 +272,8 @@ class Linter
         checkUncheckedSyscall();
         if (!contains(source.path, "src/simd"))
             checkIntrinsicsConfined();
+        if (!contains(source.path, "src/simd/dispatch.cc"))
+            checkEnvConfined();
     }
 
   private:
@@ -542,6 +544,24 @@ class Linter
         }
     }
 
+    void
+    checkEnvConfined()
+    {
+        for (size_t i = 0; i < source.size(); ++i) {
+            const Token &token = source.at(i);
+            if (token.kind != TokenKind::Identifier ||
+                !oneOf(token.text, {"getenv", "secure_getenv"}) ||
+                isMemberAccess(i))
+                continue;
+            report("env-confined", token,
+                   "environment read '" + token.text + "' outside "
+                   "src/simd/dispatch.cc",
+                   "SHARP_SIMD_BACKEND is the one environment knob; "
+                   "take other settings from the run spec or a flag, "
+                   "where the run records them");
+        }
+    }
+
     const Source &source;
     check::CheckResult &out;
 };
@@ -564,6 +584,8 @@ ruleCatalog()
          "statement-position syscall result discarded"},
         {"intrinsics-confined", check::Severity::Error,
          "raw SIMD intrinsics outside the src/simd dispatch layer"},
+        {"env-confined", check::Severity::Error,
+         "getenv/secure_getenv outside src/simd/dispatch.cc"},
     };
     return catalog;
 }

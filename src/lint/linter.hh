@@ -24,6 +24,10 @@
  *    (`_mm*`, `vld1*`/`vst1*`, `#include <immintrin.h>`) are banned
  *    outside `src/simd`: kernels belong behind the runtime-dispatch
  *    table where the CPUID probe and scalar-parity suite cover them.
+ *  - **env-confined** (error) — `getenv`/`secure_getenv` are banned
+ *    outside `src/simd/dispatch.cc`: `SHARP_SIMD_BACKEND` is the one
+ *    environment knob (CI's forced-backend legs need it); any other
+ *    setting belongs in the run spec or a flag, where runs record it.
  *
  * Findings reuse the `sharp check` diagnostic currency (severity,
  * rule id, file:line:column, hint) and the 0/1/2 exit contract. A
@@ -62,8 +66,9 @@ const std::vector<RuleInfo> &ruleCatalog();
 /**
  * Lint one translation unit's text. @p path is stamped onto findings
  * and consulted for the per-rule allowlists (`util/time_utils` for
- * no-wall-clock, `record/journal` for journal-append-discipline), so
- * pass repository-relative paths when you have them.
+ * no-wall-clock, `record/journal` for journal-append-discipline,
+ * `src/simd` for intrinsics-confined, `src/simd/dispatch.cc` for
+ * env-confined), so pass repository-relative paths when you have them.
  */
 void lintSourceText(const std::string &path, const std::string &text,
                     check::CheckResult &out);

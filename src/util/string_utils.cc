@@ -1,6 +1,7 @@
 #include "util/string_utils.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -102,6 +103,18 @@ parseLong(std::string_view text)
     char *end = nullptr;
     long value = std::strtol(buf.c_str(), &end, 10);
     if (errno != 0 || end != buf.c_str() + buf.size())
+        return std::nullopt;
+    return value;
+}
+
+std::optional<uint64_t>
+parseUint64(std::string_view text)
+{
+    std::string buf = trim(text);
+    uint64_t value = 0;
+    auto [end, ec] =
+        std::from_chars(buf.data(), buf.data() + buf.size(), value);
+    if (ec != std::errc() || end != buf.data() + buf.size())
         return std::nullopt;
     return value;
 }

@@ -18,6 +18,7 @@
 #include "cli/cli.hh"
 #include "core/config.hh"
 #include "json/parser.hh"
+#include "json/writer.hh"
 #include "launcher/reproduce.hh"
 #include "record/journal.hh"
 #include "workflow/workflow_parser.hh"
@@ -382,66 +383,43 @@ TEST(Fixtures, StaleBaselineCellWarnsAndMissingCellErrors)
               std::string::npos);
 }
 
-TEST(CheckMetadata, WarnsWhenCachedRuleRanWithEngineDisabled)
+TEST(CheckMetadata, RetiredStatsCacheEntriesLintClean)
 {
-    // Metadata recording a KS run with the statistics engine disabled:
-    // the reproduction is still bit-exact, but pays the batch-recompute
-    // cost on every evaluation — worth a warning, located at the
-    // repro_stats_cache entry.
+    // "stats_cache" (run specs, journal headers) and repro_stats_cache
+    // (metadata) recorded the statistics engine's retired off switch.
+    // Artifacts from older builds still carry them and must lint clean:
+    // no unknown-field, no bad-metadata, exit 0.
     launcher::ReproSpec spec;
     spec.backendKind = "sim";
     spec.workload = "hotspot";
     spec.machines = {"machine1"};
     spec.experiment.ruleName = "ks";
-    spec.statsCache = false;
     record::RunLog log("hotspot");
     launcher::annotate(log, spec);
-    std::string text = log.toMetadata().render();
+    record::MetadataDocument doc = log.toMetadata();
+    doc.set("Configuration", "repro_stats_cache", "off");
+    CheckResult metadata;
+    check::checkArtifactText("run.md", doc.render(), ArtifactKind::Unknown,
+                             metadata);
+    EXPECT_EQ(metadata.exitCode(), 0) << metadata.diagnostics().size();
+    EXPECT_EQ(findRule(metadata, "bad-metadata"), nullptr);
 
-    CheckResult result;
-    check::checkArtifactText("run.md", text, ArtifactKind::Unknown,
-                             result);
-    const check::Diagnostic *slow =
-        findRule(result, "disabled-stats-cache");
-    ASSERT_NE(slow, nullptr);
-    EXPECT_EQ(slow->severity, Severity::Warning);
-    EXPECT_NE(slow->message.find("'ks'"), std::string::npos);
-    EXPECT_GT(slow->line, 0u);
-    EXPECT_NE(slow->hint.find("SHARP_STATS_CACHE"), std::string::npos);
-    // The embedded run spec carries "stats_cache": false; the field
-    // whitelist must know it, or every off-cache artifact gets a bogus
-    // typo warning on top of the intended one.
-    EXPECT_EQ(findRule(result, "unknown-field"), nullptr);
-}
+    json::Value run_spec = spec.toJson();
+    run_spec.set("stats_cache", false);
+    CheckResult spec_result;
+    check::checkArtifactText("run.json", json::write(run_spec),
+                             ArtifactKind::RunSpec, spec_result);
+    EXPECT_EQ(spec_result.exitCode(), 0);
+    EXPECT_EQ(findRule(spec_result, "unknown-field"), nullptr);
 
-TEST(CheckMetadata, NoWarningForRulesWithoutACachedFastPath)
-{
-    // The fixed-count rule never consults the engine, so a disabled
-    // cache changes nothing; the lint must stay quiet.
-    launcher::ReproSpec spec;
-    spec.backendKind = "sim";
-    spec.workload = "hotspot";
-    spec.machines = {"machine1"};
-    spec.experiment.ruleName = "fixed";
-    spec.statsCache = false;
-    record::RunLog log("hotspot");
-    launcher::annotate(log, spec);
-
-    CheckResult off_result;
-    check::checkArtifactText("run.md", log.toMetadata().render(),
-                             ArtifactKind::Unknown, off_result);
-    EXPECT_EQ(findRule(off_result, "disabled-stats-cache"), nullptr);
-
-    // Engine enabled (the default): quiet for every rule.
-    launcher::ReproSpec cached = spec;
-    cached.experiment.ruleName = "ks";
-    cached.statsCache = true;
-    record::RunLog cached_log("hotspot");
-    launcher::annotate(cached_log, cached);
-    CheckResult on_result;
-    check::checkArtifactText("run.md", cached_log.toMetadata().render(),
-                             ArtifactKind::Unknown, on_result);
-    EXPECT_EQ(findRule(on_result, "disabled-stats-cache"), nullptr);
+    std::string journal = R"({"type":"spec","spec":)" +
+                          json::write(run_spec) + "}\n" +
+                          R"({"type":"round","run":0,"records":[]})" +
+                          "\n";
+    CheckResult journal_result;
+    record::checkJournalText(journal, journal_result);
+    EXPECT_EQ(journal_result.exitCode(), 0);
+    EXPECT_EQ(findRule(journal_result, "unknown-field"), nullptr);
 }
 
 TEST(CheckMetadata, FlagsUnknownSimdBackendWithSuggestion)

@@ -8,6 +8,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
 #include "cli/cli.hh"
@@ -209,6 +211,163 @@ TEST(Cli, RunRejectsBadRetryFlags)
     CliResult rate = run({"run", "--workload", "bfs",
                           "--max-failure-rate", "1.5"});
     EXPECT_EQ(rate.status, 2);
+}
+
+TEST(Cli, NumericFlagsRejectMalformedAndNegativeValues)
+{
+    // Every bad value exits 2 naming the flag before anything runs; none
+    // may fall back to a default or wrap around.
+    for (std::vector<std::string> argv :
+         {std::vector<std::string>{"run", "--workload", "bfs", "--seed",
+                                   "banana"},
+          {"run", "--workload", "bfs", "--seed", "-4"},
+          {"run", "--workload", "bfs", "--seed", "18446744073709551616"},
+          {"run", "--workload", "bfs", "--day", "-1"},
+          {"run", "--workload", "bfs", "--concurrency", "0"},
+          {"run", "--workload", "bfs", "--max", "x"},
+          {"suite", "--seed", "banana"},
+          {"suite", "--max", "x"},
+          {"micro", "alu-ops", "--max", "x"},
+          {"compare", "a.csv", "--against", "b.json", "--seed", "-1"},
+          {"gate", "a.csv", "b.csv", "--slowdown", "x"}}) {
+        CliResult result = run(argv);
+        const std::string &flag = argv[argv.size() - 2];
+        EXPECT_EQ(result.status, 2) << flag << " " << argv.back();
+        EXPECT_NE(result.err.find(flag), std::string::npos) << result.err;
+    }
+}
+
+TEST(Cli, RunAcceptsFullWidthSeeds)
+{
+    // JSON specs carry full 64-bit seeds; so must --seed, and the
+    // metadata it writes must reproduce.
+    fs::path base = fs::temp_directory_path() / "sharp_cli_wide_seed";
+    CliResult result =
+        run({"run", "--workload", "bfs", "--rule", "fixed", "--count",
+             "10", "--seed", "18446744073709551615", "--out",
+             base.string()});
+    ASSERT_EQ(result.status, 0) << result.err;
+    auto doc = sharp::record::MetadataDocument::load(base.string() +
+                                                     ".md");
+    EXPECT_EQ(doc.get("Configuration", "repro_seed"),
+              std::optional<std::string>("18446744073709551615"));
+    CliResult repro = run({"reproduce", base.string() + ".md"});
+    EXPECT_EQ(repro.status, 0) << repro.err;
+    fs::remove(base.string() + ".csv");
+    fs::remove(base.string() + ".md");
+}
+
+/** The "n" row of a rendered report or comparison table, unpadded. */
+std::string
+countRow(const std::string &markdown)
+{
+    size_t at = markdown.find("\n| n ");
+    if (at == std::string::npos)
+        return "";
+    std::string row;
+    for (size_t i = at + 1; i < markdown.size() && markdown[i] != '\n'; ++i) {
+        if (markdown[i] != ' ')
+            row += markdown[i];
+    }
+    return row;
+}
+
+TEST(Cli, MetricLoadersSkipWarmupAndFailedRows)
+{
+    // A warmup row and a failed row that still carries the metric are
+    // not measurements: report, compare and gate see only the five good
+    // rows, with or without --workload.
+    fs::path dirty = fs::temp_directory_path() / "sharp_cli_dirty.csv";
+    fs::path clean = fs::temp_directory_path() / "sharp_cli_clean.csv";
+    const std::string header = "workload,warmup,failure,execution_time\n";
+    const std::string good = "w,false,none,1.0\nw,false,none,1.1\n"
+                             "w,false,none,1.2\nw,false,none,1.3\n"
+                             "w,false,none,1.4\n";
+    std::ofstream(dirty) << header << "w,true,none,100\n"
+                         << "w,false,unparsable-output,50\n" << good;
+    std::ofstream(clean) << header << good;
+
+    for (std::vector<std::string> filter :
+         {std::vector<std::string>{}, {"--workload", "w"}}) {
+        auto with = [&](std::vector<std::string> argv) {
+            argv.insert(argv.end(), filter.begin(), filter.end());
+            return run(argv);
+        };
+        CliResult report = with({"report", dirty.string()});
+        ASSERT_EQ(report.status, 0) << report.err;
+        EXPECT_EQ(countRow(report.out), "|n|5|");
+
+        CliResult compare =
+            with({"compare", dirty.string(), clean.string()});
+        ASSERT_EQ(compare.status, 0) << compare.err;
+        EXPECT_EQ(countRow(compare.out), "|n|5|5|");
+
+        CliResult gate = with({"gate", dirty.string(), clean.string()});
+        EXPECT_EQ(gate.status, 0) << gate.out;
+        EXPECT_NE(gate.out.find("median change: 0%"), std::string::npos)
+            << gate.out;
+    }
+    fs::remove(dirty);
+    fs::remove(clean);
+}
+
+TEST(Cli, RetiredStatsCacheSpecFieldRunsChecksAndResumes)
+{
+    // Specs and journal headers written by older builds may carry the
+    // retired "stats_cache": false. The run is unaffected, its metadata
+    // records nothing about it, and every artifact lints clean.
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_retired";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    fs::path config = dir / "spec.json";
+    std::ofstream(config) << R"({
+        "backend": "sim", "workload": "bfs", "seed": 3,
+        "stats_cache": false,
+        "experiment": {"rule": "ks", "params": {"threshold": 0.1},
+                       "max": 300}
+    })";
+    fs::path journal = dir / "journal.jsonl";
+    fs::path first = dir / "first";
+    CliResult ran = run({"run", "--config", config.string(), "--journal",
+                         journal.string(), "--out", first.string()});
+    ASSERT_EQ(ran.status, 0) << ran.err;
+    std::ifstream md_in(first.string() + ".md");
+    std::string metadata((std::istreambuf_iterator<char>(md_in)),
+                         std::istreambuf_iterator<char>());
+    EXPECT_EQ(metadata.find("stats_cache"), std::string::npos);
+
+    for (const std::string &artifact :
+         {config.string(), journal.string(), first.string() + ".md"}) {
+        CliResult checked = run({"check", artifact});
+        EXPECT_EQ(checked.status, 0) << artifact << "\n" << checked.out;
+    }
+
+    // Cut the journal back to its spec header plus a few rounds and
+    // resume it: the finished campaign matches the uninterrupted one.
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(journal);
+        for (std::string line; std::getline(in, line);)
+            lines.push_back(line);
+    }
+    ASSERT_GT(lines.size(), 6u);
+    {
+        std::ofstream out(journal, std::ios::trunc);
+        for (size_t i = 0; i < 6; ++i)
+            out << lines[i] << "\n";
+    }
+    fs::path resumed = dir / "resumed";
+    CliResult again = run({"run", "--resume", journal.string(), "--out",
+                           resumed.string()});
+    ASSERT_EQ(again.status, 0) << again.err;
+    auto slurp = [](const std::string &path) {
+        std::ifstream in(path);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(slurp(resumed.string() + ".csv"),
+              slurp(first.string() + ".csv"));
+    fs::remove_all(dir);
 }
 
 // Satellite regression: the failure-policy abort is a distinct exit

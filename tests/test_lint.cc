@@ -283,6 +283,40 @@ TEST(LintRules, SimdHomeIsAllowlistedForIntrinsics)
     EXPECT_NE(findRule(elsewhere, "intrinsics-confined"), nullptr);
 }
 
+TEST(LintRules, EnvKnobFixturePinsNameSeverityAndLocation)
+{
+    CheckResult result = lintFixture("env_knob.cc");
+    ASSERT_EQ(result.diagnostics().size(), 2u) << result.renderText();
+    for (const auto &finding : result.diagnostics()) {
+        EXPECT_EQ(finding.rule, "env-confined");
+        EXPECT_EQ(finding.severity, Severity::Error);
+    }
+    EXPECT_EQ(result.diagnostics()[0].line, 8u);
+    EXPECT_EQ(result.diagnostics()[0].column, 17u);
+    EXPECT_NE(result.diagnostics()[0].message.find("'getenv'"),
+              std::string::npos);
+    EXPECT_EQ(result.diagnostics()[1].line, 14u);
+    EXPECT_EQ(result.diagnostics()[1].column, 12u);
+    EXPECT_NE(result.diagnostics()[1].message.find("'secure_getenv'"),
+              std::string::npos);
+}
+
+TEST(LintRules, DispatchIsTheOnlyHomeForEnvironmentReads)
+{
+    // The allowlist is the one file that reads SHARP_SIMD_BACKEND, not
+    // the whole src/simd directory.
+    const std::string text =
+        "const char *b = std::getenv(\"SHARP_SIMD_BACKEND\");\n";
+    CheckResult allowlisted;
+    lint::lintSourceText("src/simd/dispatch.cc", text, allowlisted);
+    EXPECT_TRUE(allowlisted.clean()) << allowlisted.renderText();
+    for (const char *path : {"src/simd/avx2.cc", "src/core/stats_cache.cc"}) {
+        CheckResult elsewhere;
+        lint::lintSourceText(path, text, elsewhere);
+        EXPECT_NE(findRule(elsewhere, "env-confined"), nullptr) << path;
+    }
+}
+
 TEST(LintPaths, FixtureDirectoryExitsTwo)
 {
     CheckResult result = lint::lintPaths({fixture("")});
@@ -303,13 +337,14 @@ TEST(LintPaths, SelfHostSrcIsClean)
 TEST(LintCatalog, NamesSeveritiesAndOrderAreStable)
 {
     const auto &catalog = lint::ruleCatalog();
-    ASSERT_EQ(catalog.size(), 6u);
+    ASSERT_EQ(catalog.size(), 7u);
     EXPECT_STREQ(catalog[0].name, "no-wall-clock");
     EXPECT_STREQ(catalog[1].name, "journal-append-discipline");
     EXPECT_STREQ(catalog[2].name, "seed-width");
     EXPECT_STREQ(catalog[3].name, "eintr-guard");
     EXPECT_STREQ(catalog[4].name, "unchecked-syscall");
     EXPECT_STREQ(catalog[5].name, "intrinsics-confined");
+    EXPECT_STREQ(catalog[6].name, "env-confined");
     for (size_t i = 0; i < catalog.size(); ++i) {
         EXPECT_EQ(catalog[i].severity, i == 4 ? Severity::Warning
                                               : Severity::Error)

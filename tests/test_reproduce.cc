@@ -110,27 +110,41 @@ TEST(Reproduce, LargeSeedsRoundTripThroughSpecJson)
     EXPECT_EQ(again.fault.seed, 0xFFFFFFFFFFFFFFFFULL);
 }
 
-TEST(Reproduce, StatsCacheStateRoundTripsThroughMetadata)
+TEST(Reproduce, FullWidthSeedsRoundTripThroughMetadata)
 {
-    // Default (engine on): nothing recorded, parses back as enabled.
-    record::RunLog on_log("hotspot");
-    launcher::annotate(on_log, hotspotSpec());
-    record::MetadataDocument on_doc = on_log.toMetadata();
-    EXPECT_FALSE(on_doc.get("Configuration", "repro_stats_cache"));
-    EXPECT_TRUE(launcher::reproSpecFromMetadata(on_doc).statsCache);
-
+    // repro_seed is an unsigned decimal: seeds >= 2^63 must reproduce.
     ReproSpec spec = hotspotSpec();
-    spec.statsCache = false;
-    record::RunLog off_log("hotspot");
-    launcher::annotate(off_log, spec);
-    ReproSpec again =
-        launcher::reproSpecFromMetadata(off_log.toMetadata());
-    EXPECT_FALSE(again.statsCache);
+    spec.seed = 0xFFFFFFFFFFFFFFFFULL;
+    record::RunLog log("hotspot");
+    launcher::annotate(log, spec);
+    EXPECT_EQ(launcher::reproSpecFromMetadata(log.toMetadata()).seed,
+              0xFFFFFFFFFFFFFFFFULL);
 
-    // And through the JSON spec form (journal headers).
-    ReproSpec json_again = ReproSpec::fromJson(
-        sharp::json::parse(sharp::json::write(spec.toJson())));
-    EXPECT_FALSE(json_again.statsCache);
+    record::MetadataDocument doc = log.toMetadata();
+    doc.set("Configuration", "repro_seed", "-1");
+    EXPECT_THROW(launcher::reproSpecFromMetadata(doc),
+                 std::invalid_argument);
+}
+
+TEST(Reproduce, RetiredStatsCacheFieldsAreIgnored)
+{
+    // Older builds recorded the statistics engine's retired off switch:
+    // "stats_cache": false in run specs and journal headers, and
+    // repro_stats_cache: off in metadata. Both still load and replay
+    // exactly as if absent; neither is written any more.
+    record::RunLog log("hotspot");
+    launcher::annotate(log, hotspotSpec());
+    record::MetadataDocument doc = log.toMetadata();
+    EXPECT_FALSE(doc.get("Configuration", "repro_stats_cache"));
+    std::string plain = launcher::reproduce(doc).log.toCsv().toCsv();
+    doc.set("Configuration", "repro_stats_cache", "off");
+    EXPECT_EQ(launcher::reproduce(doc).log.toCsv().toCsv(), plain);
+
+    json::Value spec = hotspotSpec().toJson();
+    EXPECT_EQ(spec.find("stats_cache"), nullptr);
+    std::string expected = json::write(ReproSpec::fromJson(spec).toJson());
+    spec.set("stats_cache", false);
+    EXPECT_EQ(json::write(ReproSpec::fromJson(spec).toJson()), expected);
 }
 
 TEST(Reproduce, MetadataWithoutJobsDefaultsToSerial)

@@ -5,7 +5,8 @@
  *
  * The engine's contract is bit-for-bit equality with the batch
  * recomputations in src/stats — that is what keeps the calibration
- * baseline byte-identical with the cache on or off. These tests compare
+ * baseline byte-identical whichever branch answers. The batch reference
+ * is the size cutover at SIZE_MAX. These tests compare
  * raw double bits (not EXPECT_DOUBLE_EQ, which would mask one-ulp
  * drift), across appends, duplicates, constant data, and NaNs, and pin
  * the deterministic work counters that stand in for wall-clock
@@ -54,30 +55,23 @@ lognormalDraws(uint64_t seed, size_t n)
     return sampler.sampleMany(gen, n);
 }
 
-/** Guard that restores the engine kill switch on scope exit. */
-struct CacheGuard
-{
-    ~CacheGuard() { sharp::core::setStatsCacheEnabled(true); }
-};
+/** Cutover that routes every accessor to the batch branch. */
+constexpr size_t kBatchEverywhere = std::numeric_limits<size_t>::max();
 
 /**
  * Fixture forcing the size cutover to 0: the series in these tests are
  * tens to hundreds of samples — below the production cutover, where
  * every accessor would route to the batch branch and the incremental
  * structures under test would never run. The cutover's own routing is
- * covered by the SizeCutover* tests, which set it back explicitly.
+ * covered by the SizeCutover* tests, which set it explicitly; TearDown
+ * restores the shipped default.
  */
 class StatsEngine : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        sharp::core::setStatsCacheEnabled(true);
-        sharp::core::setStatsCacheCutover(0);
-    }
+    void SetUp() override { sharp::core::setStatsCacheCutover(0); }
     void TearDown() override
     {
-        sharp::core::setStatsCacheEnabled(true);
         sharp::core::setStatsCacheCutover(
             sharp::core::kDefaultStatsCacheCutover);
     }
@@ -284,18 +278,18 @@ TEST_F(StatsEngine, QuantileCiBitEqualToBatch)
 
 TEST_F(StatsEngine, KillSwitchPreservesValuesBitForBit)
 {
-    CacheGuard guard;
+    // Incremental (cutover 0, from SetUp) against the batch reference
+    // (cutover SIZE_MAX) on the same data.
     auto xs = lognormalDraws(10, 257);
     SampleSeries cached, batch;
     for (double v : xs) {
         cached.append(v);
         batch.append(v);
     }
-    sharp::core::setStatsCacheEnabled(true);
     double ks_on = cached.stats().ksHalves();
     auto med_on = cached.stats().medianCi(0.95);
     double q_on = cached.stats().quantile(0.75);
-    sharp::core::setStatsCacheEnabled(false);
+    sharp::core::setStatsCacheCutover(kBatchEverywhere);
     double ks_off = batch.stats().ksHalves();
     auto med_off = batch.stats().medianCi(0.95);
     double q_off = batch.stats().quantile(0.75);
@@ -323,12 +317,11 @@ TEST_F(StatsEngine, StructuralWorkPerAppendIsSubLinear)
 {
     // The deterministic stand-in for the wall-clock claim: per
     // append-and-read, the engine's comparator work must not grow
-    // linearly with n. Batch mode re-sorts, so its count is >= n log n;
-    // the engine's amortized count stays polylogarithmic plus the
-    // occasional merge.
-    CacheGuard guard;
+    // linearly with n. Batch mode (cutover SIZE_MAX) re-sorts, so its
+    // count is >= n log n; the engine's amortized count (cutover 0)
+    // stays polylogarithmic plus the occasional merge.
     auto work_per_eval = [](size_t n, bool cached) {
-        sharp::core::setStatsCacheEnabled(cached);
+        sharp::core::setStatsCacheCutover(cached ? 0 : kBatchEverywhere);
         auto xs = lognormalDraws(12, n + 64);
         SampleSeries s;
         for (size_t i = 0; i < n; ++i)
@@ -457,17 +450,15 @@ TEST_F(StatsEngine, SizeCutoverSetterRoundTripsAndDefaultIsSane)
 
 TEST_F(StatsEngine, SizeCutoverRoutesSmallSeriesToBatchExactly)
 {
-    // At sizes at or below the cutover, the enabled engine must run
-    // the identical batch code the kill switch runs: same values bit
-    // for bit AND exactly the same deterministic work counters — the
-    // small-n no-overhead guarantee the cutover exists for.
-    sharp::core::setStatsCacheCutover(
-        sharp::core::kDefaultStatsCacheCutover);
+    // At sizes at or below the shipped cutover, the engine must run the
+    // identical code the batch reference (cutover SIZE_MAX) runs: same
+    // values bit for bit AND exactly the same deterministic work
+    // counters — the small-n no-overhead guarantee the cutover exists
+    // for.
     auto xs = lognormalDraws(77, 120);
 
-    auto run = [&](bool enabled) {
-        CacheGuard guard;
-        sharp::core::setStatsCacheEnabled(enabled);
+    auto run = [&](size_t cutover) {
+        sharp::core::setStatsCacheCutover(cutover);
         SampleSeries s;
         std::vector<double> values;
         for (double v : xs) {
@@ -480,8 +471,9 @@ TEST_F(StatsEngine, SizeCutoverRoutesSmallSeriesToBatchExactly)
         }
         return std::make_pair(values, s.stats().counters());
     };
-    auto [cached_values, cached_work] = run(true);
-    auto [batch_values, batch_work] = run(false);
+    auto [cached_values, cached_work] =
+        run(sharp::core::kDefaultStatsCacheCutover);
+    auto [batch_values, batch_work] = run(kBatchEverywhere);
 
     ASSERT_EQ(cached_values.size(), batch_values.size());
     for (size_t i = 0; i < cached_values.size(); ++i)

@@ -87,6 +87,18 @@ TEST(ParseLong, AcceptsIntegersRejectsFractions)
     EXPECT_FALSE(parseLong("").has_value());
 }
 
+TEST(ParseUint64, SpansSixtyFourBitsAndRejectsSigns)
+{
+    EXPECT_EQ(parseUint64("18446744073709551615").value(),
+              18446744073709551615ULL);
+    EXPECT_EQ(parseUint64(" 7 ").value(), 7u);
+    EXPECT_FALSE(parseUint64("18446744073709551616").has_value());
+    EXPECT_FALSE(parseUint64("-4").has_value());
+    EXPECT_FALSE(parseUint64("+4").has_value());
+    EXPECT_FALSE(parseUint64("banana").has_value());
+    EXPECT_FALSE(parseUint64("").has_value());
+}
+
 TEST(ReplaceAll, ReplacesEveryOccurrence)
 {
     EXPECT_EQ(replaceAll("a-b-c", "-", "+"), "a+b+c");
