@@ -1,7 +1,6 @@
 #include "check/analyzer.hh"
 
-#include <fstream>
-#include <sstream>
+#include <optional>
 
 #include "calibrate/baseline.hh"
 #include "compare/bundle.hh"
@@ -17,6 +16,7 @@
 #include "serve/state.hh"
 #include "simd/dispatch.hh"
 #include "sim/scenario.hh"
+#include "util/fs.hh"
 #include "util/string_utils.hh"
 #include "workflow/workflow_parser.hh"
 
@@ -83,34 +83,52 @@ mergeWithFallbackLine(const CheckResult &findings, size_t fallback_line,
 }
 
 /**
- * Journal deep check: the line-oriented lints, plus a full run-spec
- * analysis of the journaled spec so a resumable journal with, say, a
- * workload that no longer exists is flagged before anyone resumes it.
+ * Journal deep check: the decoder (every rule the reader enforces),
+ * then the check-only registry lint of the journaled spec, so a
+ * resumable journal with, say, a workload that no longer exists is
+ * flagged before anyone resumes it. The decoded contents come back
+ * when the reader would accept the file, nullopt otherwise.
  */
-void
+std::optional<record::JournalContents>
 checkJournal(const std::string &text, CheckResult &out)
 {
-    record::checkJournalText(text, out);
+    size_t errors = out.errorCount();
+    record::JournalContents contents = record::decodeJournal(text, out);
+    bool readable = out.errorCount() == errors;
+    if (contents.spec.isObject())
+        launcher::checkRunSpec(contents.spec, out);
+    return readable ? std::optional(std::move(contents)) : std::nullopt;
+}
 
-    // The spec line is journal line 1, parsed alone — so locations
-    // from re-parsing it are already correct for the whole file.
-    size_t end = text.find('\n');
-    std::string first = end == std::string::npos ? text :
-                                                   text.substr(0, end);
-    if (first.empty())
-        return;
-    json::Value doc;
-    try {
-        doc = json::parse(first);
-    } catch (const std::exception &) {
-        return; // already reported by checkJournalText
+/**
+ * Queue deep check: the decoder, then the registry lint of every
+ * submitted spec, so a queue full of unusable campaigns is caught at
+ * rest, not at dispatch. Returns as checkJournal() does.
+ */
+std::optional<serve::QueueContents>
+checkQueue(const std::string &text, CheckResult &out)
+{
+    size_t errors = out.errorCount();
+    serve::QueueContents queue = serve::decodeQueue(text, out);
+    bool readable = out.errorCount() == errors;
+    for (const serve::Campaign &campaign : queue.campaigns) {
+        if (campaign.spec.isObject())
+            launcher::checkRunSpec(campaign.spec, out);
     }
-    if (doc.getString("type", "") != "spec")
-        return;
-    const json::Value *spec = doc.find("spec");
-    if (!spec || !spec->isObject())
-        return;
-    launcher::checkRunSpec(*spec, out);
+    return readable ? std::optional(std::move(queue)) : std::nullopt;
+}
+
+/** Read @p path for checking; an unreadable file is an io-error. */
+std::optional<std::string>
+readArtifact(const std::string &path, CheckResult &out)
+{
+    out.setArtifact(path);
+    try {
+        return util::readFileText(path);
+    } catch (const std::exception &) {
+        out.error(std::string("io-error"), "cannot read '" + path + "'");
+        return std::nullopt;
+    }
 }
 
 /** Metadata deep check: parse, rebuild the spec, lint it. */
@@ -355,40 +373,31 @@ checkArtifactText(const std::string &path, const std::string &text,
         kind = serve::looksLikeQueueJournal(text)
                    ? ArtifactKind::QueueJournal
                    : ArtifactKind::Journal;
-    if (kind == ArtifactKind::Metadata) {
-        checkMetadata(text, out);
-        return kind;
-    }
-    if (kind == ArtifactKind::Journal) {
-        checkJournal(text, out);
-        return kind;
-    }
-    if (kind == ArtifactKind::QueueJournal) {
-        serve::checkQueueText(text, out);
-        return kind;
-    }
-
     json::Value doc;
-    try {
-        doc = json::parse(text);
-    } catch (const json::ParseError &problem) {
-        out.report(Severity::Error,
-                   json::Location{static_cast<uint32_t>(problem.line),
-                                  static_cast<uint32_t>(problem.column)},
-                   "json-syntax", problem.what());
-        return kind;
-    } catch (const std::exception &problem) {
-        out.error(std::string("json-syntax"), problem.what());
-        return kind;
+    if (kind != ArtifactKind::Metadata && kind != ArtifactKind::Journal &&
+        kind != ArtifactKind::QueueJournal) {
+        try {
+            doc = json::parse(text);
+        } catch (const json::ParseError &problem) {
+            out.report(
+                Severity::Error,
+                json::Location{static_cast<uint32_t>(problem.line),
+                               static_cast<uint32_t>(problem.column)},
+                "json-syntax", problem.what());
+            return kind;
+        } catch (const std::exception &problem) {
+            out.error(std::string("json-syntax"), problem.what());
+            return kind;
+        }
+        if (kind == ArtifactKind::Unknown)
+            kind = sniffArtifact(path, text, &doc);
     }
-    if (kind == ArtifactKind::Unknown)
-        kind = sniffArtifact(path, text, &doc);
     // Content sniffing can still land on a text format (a journal
     // named .json whose single line is the spec header).
     if (kind == ArtifactKind::Journal)
         checkJournal(text, out);
     else if (kind == ArtifactKind::QueueJournal)
-        serve::checkQueueText(text, out);
+        checkQueue(text, out);
     else if (kind == ArtifactKind::Metadata)
         checkMetadata(text, out);
     else if (kind == ArtifactKind::Scenario)
@@ -403,17 +412,28 @@ checkArtifactText(const std::string &path, const std::string &text,
 ArtifactKind
 checkArtifactFile(const std::string &path, CheckResult &out)
 {
-    out.setArtifact(path);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        out.error(std::string("io-error"),
-                  "cannot read '" + path + "'");
+    std::optional<std::string> text = readArtifact(path, out);
+    if (!text)
         return ArtifactKind::Unknown;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return checkArtifactText(path, buffer.str(), ArtifactKind::Unknown,
-                             out);
+    return checkArtifactText(path, *text, ArtifactKind::Unknown, out);
+}
+
+std::optional<record::JournalContents>
+checkJournalFile(const std::string &path, CheckResult &out)
+{
+    std::optional<std::string> text = readArtifact(path, out);
+    if (!text)
+        return std::nullopt;
+    return checkJournal(*text, out);
+}
+
+std::optional<serve::QueueContents>
+checkQueueFile(const std::string &path, CheckResult &out)
+{
+    std::optional<std::string> text = readArtifact(path, out);
+    if (!text)
+        return std::nullopt;
+    return checkQueue(*text, out);
 }
 
 } // namespace check

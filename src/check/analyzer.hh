@@ -19,10 +19,13 @@
 #ifndef SHARP_CHECK_ANALYZER_HH
 #define SHARP_CHECK_ANALYZER_HH
 
+#include <optional>
 #include <string>
 
 #include "check/diagnostic.hh"
 #include "json/value.hh"
+#include "record/journal.hh"
+#include "serve/queue.hh"
 
 namespace sharp
 {
@@ -102,6 +105,17 @@ ArtifactKind checkArtifactText(const std::string &path,
  */
 ArtifactKind checkArtifactFile(const std::string &path,
                                CheckResult &out);
+
+/**
+ * checkArtifactFile() on a run journal, handing back what its decoder
+ * built; nullopt when record::readJournal would refuse the file.
+ */
+std::optional<record::JournalContents>
+checkJournalFile(const std::string &path, CheckResult &out);
+
+/** checkJournalFile() for a `sharp serve` queue journal. */
+std::optional<serve::QueueContents>
+checkQueueFile(const std::string &path, CheckResult &out);
 
 } // namespace check
 } // namespace sharp

@@ -7,7 +7,6 @@
 #include "check/analyzer.hh"
 #include "json/parser.hh"
 #include "launcher/reproduce.hh"
-#include "record/journal.hh"
 #include "record/metadata.hh"
 #include "serve/queue.hh"
 #include "simd/dispatch.hh"
@@ -78,15 +77,9 @@ compareFacet(CheckResult &out, const std::string &journalPath,
 void
 auditJournal(const serve::Campaign &campaign,
              const launcher::ReproSpec *submitted,
+             const record::JournalContents &contents,
              const std::string &journalPath, CheckResult &out)
 {
-    record::JournalContents contents;
-    try {
-        contents = record::readJournal(journalPath);
-    } catch (const std::exception &) {
-        return; // malformed lines were reported by the deep check
-    }
-
     if (campaign.state == serve::CampaignState::Done && !contents.done) {
         fileFinding(out, Severity::Error, journalPath,
                     "campaign-journal-divergence",
@@ -201,16 +194,11 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
                     "directory");
         return;
     }
-    checkArtifactFile(queuePath, out);
+    // One decode per file: the deep check hands back what it read,
+    // and the audits below run only on files a reader would accept.
+    std::optional<serve::QueueContents> queue =
+        checkQueueFile(queuePath, out);
     handled.insert(queuePath);
-
-    serve::QueueContents queue;
-    bool queueUsable = true;
-    try {
-        queue = serve::readQueue(queuePath);
-    } catch (const std::exception &) {
-        queueUsable = false; // the deep check reported the lines
-    }
 
     // Daemon state: optional but its absence mutes the config
     // cross-checks, which is worth a warning.
@@ -235,8 +223,8 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
     }
 
     std::string campaignsRoot = joinPath(dir, "campaigns");
-    if (queueUsable) {
-        for (const serve::Campaign &campaign : queue.campaigns) {
+    if (queue) {
+        for (const serve::Campaign &campaign : queue->campaigns) {
             std::string cdir = joinPath(campaignsRoot, campaign.id);
             std::string journalPath = joinPath(cdir, "journal.jsonl");
             std::string csvPath = joinPath(cdir, "result.csv");
@@ -269,11 +257,12 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
             }
 
             if (util::fileExists(journalPath)) {
-                checkArtifactFile(journalPath, out);
+                auto contents = checkJournalFile(journalPath, out);
                 handled.insert(journalPath);
-                auditJournal(campaign,
-                             submitted ? &*submitted : nullptr,
-                             journalPath, out);
+                if (contents)
+                    auditJournal(campaign,
+                                 submitted ? &*submitted : nullptr,
+                                 *contents, journalPath, out);
             }
             if (util::fileExists(mdPath)) {
                 checkArtifactFile(mdPath, out);
@@ -308,7 +297,7 @@ checkCampaignDir(const std::string &dir, CheckResult &out)
                 if (!util::isDirectory(cdir))
                     continue;
                 bool known = std::any_of(
-                    queue.campaigns.begin(), queue.campaigns.end(),
+                    queue->campaigns.begin(), queue->campaigns.end(),
                     [&](const serve::Campaign &campaign) {
                         return campaign.id == name;
                     });

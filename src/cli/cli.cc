@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include <sys/stat.h>
 
@@ -252,12 +251,11 @@ exit codes: 0 ok, 1 error (compare --against: regression to
 )";
 
 /**
- * Parse the numeric flag --@p key into @p target, leaving it untouched
- * when the flag is absent. Integer targets take an unsigned decimal
- * that is >= @p minimum and fits the type (so seeds span the full
- * uint64_t range); floating-point targets take any number. A bad value
- * is reported as "cmd: --key must be ..." and returns false, which
- * every caller maps to exit 2.
+ * Parse the integer flag --@p key into @p target, leaving it untouched
+ * when the flag is absent. The value is an unsigned decimal that is
+ * >= @p minimum and fits the type (so seeds span the full uint64_t
+ * range). A bad value is reported as "cmd: --key must be ..." and
+ * returns false, which every caller maps to exit 2.
  */
 template <typename T>
 bool
@@ -267,24 +265,62 @@ parseFlag(const ParsedArgs &args, std::ostream &err, const char *cmd,
     std::string value = args.get(key);
     if (value.empty())
         return true;
-    if constexpr (std::is_floating_point_v<T>) {
-        auto parsed = util::parseDouble(value);
-        if (!parsed) {
-            err << cmd << ": --" << key << " must be a number\n";
-            return false;
-        }
-        target = *parsed;
-    } else {
-        auto parsed = util::parseUint64(value);
-        if (!parsed || *parsed < minimum ||
-            *parsed > static_cast<uint64_t>(
-                          std::numeric_limits<T>::max())) {
-            err << cmd << ": --" << key << " must be an integer >= "
-                << minimum << "\n";
-            return false;
-        }
-        target = static_cast<T>(*parsed);
+    auto parsed = util::parseUint64(value);
+    if (!parsed || *parsed < minimum ||
+        *parsed > static_cast<uint64_t>(std::numeric_limits<T>::max())) {
+        err << cmd << ": --" << key << " must be an integer >= " << minimum
+            << "\n";
+        return false;
     }
+    target = static_cast<T>(*parsed);
+    return true;
+}
+
+/** The values a floating-point flag takes, as its message names them. */
+struct Range
+{
+    double lo;
+    bool loOpen;
+    double hi;
+    const char *text;
+};
+
+constexpr double inf = std::numeric_limits<double>::infinity();
+constexpr Range anyNumber{-inf, false, inf, "a number"};
+constexpr Range nonNegative{0.0, false, inf, "a number >= 0"};
+constexpr Range positive{0.0, true, inf, "a number > 0"};
+constexpr Range fraction{0.0, true, 1.0, "in (0, 1]"};
+
+/** parseFlag() for a floating-point flag: any number in @p range. */
+bool
+parseFlag(const ParsedArgs &args, std::ostream &err, const char *cmd,
+          const char *key, double &target, Range range = anyNumber)
+{
+    std::string value = args.get(key);
+    if (value.empty())
+        return true;
+    auto parsed = util::parseDouble(value);
+    // Written so NaN, which compares false, is out of every range.
+    if (!parsed || !(*parsed >= range.lo && *parsed <= range.hi) ||
+        (range.loOpen && *parsed == range.lo)) {
+        err << cmd << ": --" << key << " must be " << range.text << "\n";
+        return false;
+    }
+    target = *parsed;
+    return true;
+}
+
+/** --retries N: each failed run is tried up to N + 1 times. */
+bool
+parseRetries(const ParsedArgs &args, std::ostream &err, const char *cmd,
+             launcher::RetryPolicy &retry)
+{
+    // long, not size_t: N + 1 must not wrap to zero attempts.
+    long retries = -1;
+    if (!parseFlag(args, err, cmd, "retries", retries))
+        return false;
+    if (retries >= 0)
+        retry.maxAttempts = static_cast<size_t>(retries) + 1;
     return true;
 }
 
@@ -378,35 +414,13 @@ bool
 applyFaultToleranceFlags(const ParsedArgs &args, std::ostream &err,
                          launcher::ReproSpec &spec)
 {
-    std::string retries = args.get("retries");
-    if (!retries.empty()) {
-        auto parsed = util::parseLong(retries);
-        if (!parsed || *parsed < 0) {
-            err << "run: --retries must be an integer >= 0\n";
-            return false;
-        }
-        spec.retry.maxAttempts = static_cast<size_t>(*parsed) + 1;
-    }
-    std::string backoff = args.get("retry-backoff");
-    if (!backoff.empty()) {
-        auto parsed = util::parseDouble(backoff);
-        if (!parsed || *parsed < 0.0) {
-            err << "run: --retry-backoff must be a number >= 0\n";
-            return false;
-        }
-        spec.retry.backoffBaseSeconds = *parsed;
-    }
-    if (!parseFlag(args, err, "run", "max-failures", spec.maxFailures))
+    if (!parseRetries(args, err, "run", spec.retry) ||
+        !parseFlag(args, err, "run", "retry-backoff",
+                   spec.retry.backoffBaseSeconds, nonNegative) ||
+        !parseFlag(args, err, "run", "max-failures", spec.maxFailures) ||
+        !parseFlag(args, err, "run", "max-failure-rate",
+                   spec.maxFailureRate, fraction))
         return false;
-    std::string rate = args.get("max-failure-rate");
-    if (!rate.empty()) {
-        auto parsed = util::parseDouble(rate);
-        if (!parsed || *parsed <= 0.0 || *parsed > 1.0) {
-            err << "run: --max-failure-rate must be in (0, 1]\n";
-            return false;
-        }
-        spec.maxFailureRate = *parsed;
-    }
     std::string fault = args.get("fault");
     if (!fault.empty()) {
         spec.fault =
@@ -511,6 +525,23 @@ executeRun(const launcher::ReproSpec &spec, const ParsedArgs &args,
 int
 cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
 {
+    // A --config or --resume run takes its spec from the artifact; a
+    // spec flag next to it would be silently ignored, so refuse it.
+    for (const char *source : {"resume", "config"}) {
+        if (args.get(source).empty())
+            continue;
+        for (const char *flag :
+             {"workload", "scenario", "machine", "rule", "threshold",
+              "level", "count", "min", "quantile", "prominence", "max",
+              "day", "seed", "concurrency"}) {
+            if (!args.get(flag).empty()) {
+                err << "run: --" << flag << " cannot be combined with --"
+                    << source << "; set it in the spec instead\n";
+                return 2;
+            }
+        }
+    }
+
     // Resume path: everything comes from the journal's spec header.
     std::string resume_flag = args.get("resume");
     if (!resume_flag.empty()) {
@@ -523,7 +554,7 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             return 0;
         }
         launcher::ReproSpec spec =
-            launcher::ReproSpec::fromJson(campaign.spec);
+            launcher::ReproSpec::fromJson(campaign.spec, journal_path);
         return executeRun(spec, args, out, err,
                           spec.workload.empty() ? spec.backendKind
                                                 : spec.workload,
@@ -534,8 +565,8 @@ cmdRun(const ParsedArgs &args, std::ostream &out, std::ostream &err)
     // below are the quick path.
     std::string config_path = args.get("config");
     if (!config_path.empty()) {
-        launcher::ReproSpec spec =
-            launcher::ReproSpec::fromJson(json::parseFile(config_path));
+        launcher::ReproSpec spec = launcher::ReproSpec::fromJson(
+            json::parseFile(config_path), config_path);
         if (!parseFlag(args, err, "run", "jobs", spec.jobs, 1))
             return 2;
         if (!applyFaultToleranceFlags(args, err, spec))
@@ -899,15 +930,8 @@ cmdSuite(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         !parseFlag(args, err, "suite", "jobs", jobs, 1))
         return 2;
     launcher::RetryPolicy retry;
-    std::string retries_flag = args.get("retries");
-    if (!retries_flag.empty()) {
-        auto parsed = util::parseLong(retries_flag);
-        if (!parsed || *parsed < 0) {
-            err << "suite: --retries must be an integer >= 0\n";
-            return 2;
-        }
-        retry.maxAttempts = static_cast<size_t>(*parsed) + 1;
-    }
+    if (!parseRetries(args, err, "suite", retry))
+        return 2;
     config.makeRule(); // validate eagerly
 
     std::string scenarios_dir = args.get("scenarios");
@@ -1270,17 +1294,10 @@ cmdServe(const ParsedArgs &args, std::ostream &out, std::ostream &err)
         !parseFlag(args, err, "serve", "max-queued",
                    options.maxQueuedPerTenant, 1) ||
         !parseFlag(args, err, "serve", "max-failovers",
-                   options.maxFailovers))
+                   options.maxFailovers) ||
+        !parseFlag(args, err, "serve", "round-deadline",
+                   options.roundDeadlineSeconds, positive))
         return 2;
-    std::string deadline = args.get("round-deadline");
-    if (!deadline.empty()) {
-        auto parsed = util::parseDouble(deadline);
-        if (!parsed || *parsed <= 0.0) {
-            err << "serve: --round-deadline must be a number > 0\n";
-            return 2;
-        }
-        options.roundDeadlineSeconds = *parsed;
-    }
     return serve::runDaemon(options, out, err);
 }
 
@@ -1305,15 +1322,8 @@ cmdClient(const ParsedArgs &args, std::ostream &out, std::ostream &err)
             return 2;
         }
         double timeout = 300.0;
-        std::string flag = args.get("timeout");
-        if (!flag.empty()) {
-            auto parsed = util::parseDouble(flag);
-            if (!parsed || *parsed <= 0.0) {
-                err << "client: --timeout must be a number > 0\n";
-                return 2;
-            }
-            timeout = *parsed;
-        }
+        if (!parseFlag(args, err, "client", "timeout", timeout, positive))
+            return 2;
         json::Value response = serve::waitForCampaign(
             socket, args.positional[1], timeout);
         out << json::writePretty(response) << "\n";
@@ -1403,6 +1413,11 @@ runCli(const std::vector<std::string> &argv, std::ostream &out,
             return cmdClient(args, out, err);
         err << "unknown command '" << args.command
             << "' (try `sharp help`)\n";
+        return 2;
+    } catch (const check::CheckFailure &failure) {
+        // A malformed artifact (spec, journal, queue): every located
+        // finding, and the artifact-error exit code.
+        err << failure.result().renderText();
         return 2;
     } catch (const std::exception &ex) {
         err << "error: " << ex.what() << "\n";

@@ -21,7 +21,9 @@ namespace
 class Cursor
 {
   public:
-    explicit Cursor(std::string_view text_in) : text(text_in) {}
+    Cursor(std::string_view text_in, size_t firstLine)
+        : text(text_in), lineNum(firstLine)
+    {}
 
     bool
     atEnd() const
@@ -91,7 +93,7 @@ class Cursor
 
     std::string_view text;
     size_t pos = 0;
-    size_t lineNum = 1;
+    size_t lineNum;
     size_t colNum = 1;
 };
 
@@ -292,9 +294,9 @@ parseValue(Cursor &cur, int depth)
 } // anonymous namespace
 
 Value
-parse(std::string_view text)
+parse(std::string_view text, size_t firstLine)
 {
-    Cursor cur(text);
+    Cursor cur(text, firstLine);
     Value value = parseValue(cur, 0);
     cur.skipWhitespaceAndComments();
     if (!cur.atEnd())

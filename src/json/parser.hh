@@ -42,10 +42,13 @@ class ParseError : public std::runtime_error
  *             other trailing content is an error. Duplicate object
  *             keys are rejected: silently keeping one of the two
  *             values would make config typos unobservable.
+ * @param firstLine the line @p text begins on in its enclosing file,
+ *             so a JSONL line parsed alone carries its file positions
+ *             (values and errors alike).
  * @return the parsed value.
  * @throws ParseError on malformed input.
  */
-Value parse(std::string_view text);
+Value parse(std::string_view text, size_t firstLine = 1);
 
 /** Parse the contents of a file. @throws ParseError / std::runtime_error. */
 Value parseFile(const std::string &path);

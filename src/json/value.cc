@@ -159,6 +159,13 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
+bool
+Value::isIntegerIn(double lo, double hi) const
+{
+    return tag == Type::Number && numValue == std::floor(numValue) &&
+           numValue >= lo && numValue <= hi;
+}
+
 double
 Value::getNumber(const std::string &key, double fallback) const
 {

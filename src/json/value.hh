@@ -104,6 +104,8 @@ class Value
     bool isString() const { return tag == Type::String; }
     bool isArray() const { return tag == Type::Array; }
     bool isObject() const { return tag == Type::Object; }
+    /** True for a number with no fractional part in [lo, hi]. */
+    bool isIntegerIn(double lo, double hi) const;
 
     /** @return the boolean payload. @throws TypeError otherwise. */
     bool asBool() const;

@@ -1,6 +1,7 @@
 #include "launcher/reproduce.hh"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
@@ -141,6 +142,10 @@ checkRunSpecImpl(const json::Value &doc, check::CheckResult &out,
     if (const json::Value *day = doc.find("day")) {
         if (!day->isNumber())
             out.error(*day, "wrong-type", "'day' must be a number");
+        else if (!day->isIntegerIn(std::numeric_limits<int>::min(),
+                                   std::numeric_limits<int>::max()))
+            out.error(*day, "out-of-range",
+                      "'day' must be an integer that fits an int");
     }
     if (const json::Value *seed = doc.find("seed")) {
         try {
@@ -279,9 +284,10 @@ checkRunSpec(const json::Value &doc, check::CheckResult &out)
 }
 
 ReproSpec
-ReproSpec::fromJson(const json::Value &doc)
+ReproSpec::fromJson(const json::Value &doc, const std::string &artifact)
 {
     check::CheckResult findings;
+    findings.setArtifact(artifact);
     checkRunSpecImpl(doc, findings, false);
     check::throwIfErrors(std::move(findings));
 
@@ -446,7 +452,9 @@ reproSpecFromMetadata(const record::MetadataDocument &doc)
     auto day = util::parseLong(require("repro_day"));
     auto seed = util::parseUint64(require("repro_seed"));
     auto concurrency = util::parseLong(require("repro_concurrency"));
-    if (!day || !seed || !concurrency || *concurrency < 1) {
+    if (!day || *day < std::numeric_limits<int>::min() ||
+        *day > std::numeric_limits<int>::max() || !seed ||
+        !concurrency || *concurrency < 1) {
         throw std::invalid_argument(
             "malformed numeric reproduction entries");
     }

@@ -96,9 +96,12 @@ struct ReproSpec
      *   "experiment": {"rule": "ks", "params": {"threshold": 0.1},
      *                  "max": 1000}
      * }
-     * @throws std::invalid_argument on malformed documents.
+     * @param artifact the file @p doc came from, named in diagnostics.
+     * @throws std::invalid_argument on malformed documents (a
+     *         check::CheckFailure with located diagnostics).
      */
-    static ReproSpec fromJson(const json::Value &doc);
+    static ReproSpec fromJson(const json::Value &doc,
+                              const std::string &artifact = "");
 
     /** Serialize to JSON (round-trips through fromJson). */
     json::Value toJson() const;

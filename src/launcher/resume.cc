@@ -17,12 +17,6 @@ loadResumedCampaign(const std::string &journalPath)
         throw std::runtime_error(
             "journal '" + journalPath +
             "' has no reproduction spec header; cannot resume");
-    // Trim a torn trailing fragment (crash mid-write) now, while the
-    // valid prefix is known, so the resumed run's appends cannot fuse
-    // onto it. Only after the spec check: a file that is not a SHARP
-    // journal must never be truncated.
-    if (contents.truncated || !contents.terminated)
-        record::repairJournal(journalPath, contents);
     ResumedCampaign campaign;
     campaign.spec = std::move(contents.spec);
     campaign.state.records = std::move(contents.records);

@@ -36,13 +36,13 @@ struct ResumedCampaign
 };
 
 /**
- * Parse the journal at @p journalPath. A torn trailing line (crash
- * mid-write) is discarded AND trimmed from the file on disk, so
- * reopening the journal in Resume mode appends on a clean line
- * boundary.
- * @throws std::runtime_error when the journal is unreadable,
- *         malformed beyond a torn trailing line, or lacks a spec
- *         header (nothing to rebuild the campaign from).
+ * Parse the journal at @p journalPath (record::readJournal). A torn
+ * trailing line (crash mid-write) is discarded; reopening the journal
+ * in Resume mode trims it from the file before appending.
+ * @throws check::CheckFailure when the journal is malformed beyond a
+ *         torn trailing line (located diagnostics).
+ * @throws std::runtime_error when the journal is unreadable or lacks
+ *         a spec header (nothing to rebuild the campaign from).
  */
 ResumedCampaign loadResumedCampaign(const std::string &journalPath);
 

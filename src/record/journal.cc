@@ -5,11 +5,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "check/diagnostic.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "util/fs.hh"
 #include "util/string_utils.hh"
 
 namespace sharp
@@ -23,17 +25,17 @@ RunJournal::RunJournal(std::string path_in, JournalMode mode)
     : filePath(std::move(path_in))
 {
     // Resume-mode opens repair the tail unconditionally, so a torn
-    // trailing fragment can never fuse with the first new append —
-    // even for callers (daemon failover, restart-after-crash) that
-    // did not go through loadResumedCampaign() first. A journal that
-    // is malformed beyond a torn tail throws here, before any append
-    // could make it worse.
+    // trailing fragment can never fuse with the first new append,
+    // whoever opens the file (CLI resume, daemon failover, restart
+    // after a crash). A journal that is malformed beyond a torn tail
+    // throws here, before any append could make it worse.
     if (mode == JournalMode::Resume) {
         struct stat st = {};
         if (::stat(filePath.c_str(), &st) == 0 && st.st_size > 0) {
             JournalContents contents = readJournal(filePath);
             if (contents.truncated || !contents.terminated)
-                repairJournal(filePath, contents);
+                repairJsonlTail(filePath, contents.validBytes,
+                                contents.terminated);
         }
     }
     file = std::fopen(filePath.c_str(),
@@ -126,55 +128,115 @@ recordToJson(const RunRecord &record)
     return doc;
 }
 
-RunRecord
-recordFromJson(const json::Value &doc)
+namespace
 {
-    if (!doc.isObject())
-        throw std::runtime_error("journal record must be an object");
+
+/** 2^53: every integer up to here is exact in a JSON number. */
+constexpr double maxExactInteger = 9007199254740992.0;
+
+const JsonlFormat journalFormat = {
+    "journal", "journal holds no lines",
+    "torn trailing line (crash mid-write); the reader discards it",
+    "run `sharp run --resume` to repair and continue the campaign"};
+
+constexpr auto isCount = [](const json::Value &value) {
+    return value.isIntegerIn(0.0, maxExactInteger);
+};
+constexpr auto isString = [](const json::Value &value) {
+    return value.isString();
+};
+constexpr auto isBool = [](const json::Value &value) {
+    return value.isBool();
+};
+
+/**
+ * Member @p key of @p doc; nullptr when absent, or when it fails
+ * @p valid, which is reported at the member: "'key' must be @p what".
+ */
+const json::Value *
+field(const json::Value &doc, const char *key,
+      bool (*valid)(const json::Value &), const char *what,
+      check::CheckResult &out)
+{
+    const json::Value *value = doc.find(key);
+    if (!value || valid(*value))
+        return value;
+    out.error(*value, "wrong-type",
+              "'" + std::string(key) + "' must be " + what);
+    return nullptr;
+}
+
+} // anonymous namespace
+
+RunRecord
+recordFromJson(const json::Value &doc, check::CheckResult &out)
+{
     RunRecord record;
-    record.run = static_cast<size_t>(doc.getLong("run", 0));
-    record.instance = static_cast<size_t>(doc.getLong("instance", 0));
-    record.attempt = static_cast<size_t>(doc.getLong("attempt", 0));
-    record.workload = doc.getString("workload", "");
-    record.backend = doc.getString("backend", "");
-    record.machine = doc.getString("machine", "");
-    record.day = static_cast<int>(doc.getLong("day", 0));
-    record.warmup = doc.getBool("warmup", false);
-    record.failure =
-        failureKindFromName(doc.getString("failure", "none"));
+    if (!doc.isObject()) {
+        out.error(doc, "wrong-type", "journal record must be an object");
+        return record;
+    }
+    for (auto [key, target] : {std::pair{"run", &record.run},
+                               {"instance", &record.instance},
+                               {"attempt", &record.attempt}}) {
+        if (auto value = field(doc, key, isCount, "a non-negative integer",
+                               out))
+            *target = static_cast<size_t>(value->asNumber());
+    }
+    for (auto [key, target] : {std::pair{"workload", &record.workload},
+                               {"backend", &record.backend},
+                               {"machine", &record.machine}}) {
+        if (auto value = field(doc, key, isString, "a string", out))
+            *target = value->asString();
+    }
+    if (const json::Value *day = doc.find("day")) {
+        if (day->isIntegerIn(std::numeric_limits<int>::min(),
+                             std::numeric_limits<int>::max()))
+            record.day = static_cast<int>(day->asNumber());
+        else
+            out.error(*day, day->isNumber() ? "out-of-range" : "wrong-type",
+                      "'day' must be an integer that fits an int");
+    }
+    if (auto warmup = field(doc, "warmup", isBool, "a boolean", out))
+        record.warmup = warmup->asBool();
+    if (auto failure = field(doc, "failure", isString, "a string", out)) {
+        try {
+            record.failure = failureKindFromName(failure->asString());
+        } catch (const std::invalid_argument &) {
+            out.error(doc, "unknown-name",
+                      "unknown failure kind '" + failure->asString() + "'");
+        }
+    }
     if (const json::Value *metrics = doc.find("metrics")) {
-        for (const auto &[name, value] : metrics->members())
-            record.metrics[name] = value.asNumber();
+        if (!metrics->isObject()) {
+            out.error(*metrics, "wrong-type", "'metrics' must be an object");
+            return record;
+        }
+        for (const auto &[name, value] : metrics->members()) {
+            if (value.isNumber())
+                record.metrics[name] = value.asNumber();
+            else
+                out.error(value, "wrong-type",
+                          "metric '" + name + "' must be a number");
+        }
     }
     return record;
 }
 
-JournalContents
-readJournal(const std::string &path)
+bool
+walkJsonl(const std::string &text, const JsonlFormat &format,
+          JsonlTail &tail, check::CheckResult &out,
+          const std::function<void(uint32_t, const json::Value &)> &visit)
 {
-    std::FILE *in = std::fopen(path.c_str(), "rb");
-    if (!in) {
-        throw std::runtime_error("cannot read journal '" + path +
-                                 "': " + std::strerror(errno));
+    std::string name = format.name;
+    // The line holding the last byte that is not a newline is the
+    // final line, the only one a crash mid-append can have torn.
+    size_t last_byte = text.find_last_not_of('\n');
+    if (last_byte == std::string::npos) {
+        out.warning("empty-" + name, format.emptyMessage);
+        return false;
     }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        text.append(buf, got);
-    std::fclose(in);
-
-    JournalContents contents;
     auto lines = util::split(text, '\n');
-    // A healthy journal ends with a newline, so the final split field
-    // is empty; anything else is a torn trailing line.
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
     size_t offset = 0;
     for (size_t i = 0; i < lines.size(); ++i) {
         const std::string &line = lines[i];
@@ -182,115 +244,60 @@ readJournal(const std::string &path)
         offset += line.size() + 1; // +1 for the '\n' split consumed
         if (line.empty())
             continue;
-        bool last = i == last_nonempty;
+        auto number = static_cast<uint32_t>(i + 1);
+        json::Location whole_line{number, 1};
         json::Value doc;
         try {
-            doc = json::parse(line);
-        } catch (const std::exception &) {
-            if (last) {
-                contents.truncated = true;
-                break;
-            }
-            throw std::runtime_error(
-                "malformed journal line " + std::to_string(i + 1) +
-                " in '" + path + "'");
-        }
-        bool has_newline = start + line.size() < text.size();
-        contents.validBytes = start + line.size() + (has_newline ? 1 : 0);
-        contents.terminated = has_newline;
-        std::string type = doc.getString("type", "");
-        if (type == "spec") {
-            if (const json::Value *spec = doc.find("spec"))
-                contents.spec = *spec;
-        } else if (type == "round") {
-            ++contents.rounds;
-            if (doc.getBool("warmup", false))
-                ++contents.warmupRounds;
-            if (const json::Value *records = doc.find("records")) {
-                for (const auto &entry : records->asArray())
-                    contents.records.push_back(recordFromJson(entry));
-            }
-        } else if (type == "done") {
-            contents.done = true;
-        } else {
-            throw std::runtime_error("unknown journal line type '" +
-                                     type + "' in '" + path + "'");
-        }
-    }
-    return contents;
-}
-
-void
-checkJournalText(const std::string &text, check::CheckResult &out)
-{
-    // Lightweight view of the spec line, for cross-line lints.
-    std::string spec_workload;
-    std::string spec_backend;
-    long spec_min = -1;
-    long spec_max = -1;
-    bool have_spec = false;
-
-    bool done = false;
-    long last_run = -1;
-    size_t measured_rounds = 0;
-
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
-    if (last_nonempty == lines.size()) {
-        out.warning("empty-journal", "journal holds no lines");
-        return;
-    }
-
-    auto locate = [](size_t line_index, const json::Value &value) {
-        // Journal lines are parsed one at a time, so a value's own
-        // line is always 1; the journal line number is the authority.
-        return json::Location{static_cast<uint32_t>(line_index + 1),
-                              value.location().column};
-    };
-
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        if (line.empty())
-            continue;
-        json::Location whole_line{static_cast<uint32_t>(i + 1), 1};
-        json::Value doc;
-        try {
-            doc = json::parse(line);
+            doc = json::parse(line, number);
         } catch (const std::exception &problem) {
-            if (i == last_nonempty) {
+            if (start + line.size() > last_byte) {
+                tail.truncated = true;
                 out.report(Severity::Warning, whole_line,
-                           "truncated-journal",
-                           "torn trailing line (crash mid-write); the "
-                           "reader discards it",
-                           "run `sharp run --resume` to repair and "
-                           "continue the campaign");
+                           "truncated-" + name, format.tornMessage,
+                           format.tornHint);
             } else {
-                out.report(Severity::Error, whole_line, "journal-syntax",
-                           std::string("malformed journal line: ") +
+                out.report(Severity::Error, whole_line, name + "-syntax",
+                           "malformed " + name + " line: " +
                                problem.what());
             }
             continue;
         }
+        bool has_newline = start + line.size() < text.size();
+        tail.validBytes = start + line.size() + (has_newline ? 1 : 0);
+        tail.terminated = has_newline;
         if (!doc.isObject()) {
-            out.report(Severity::Error, whole_line, "journal-syntax",
-                       "journal line must be a JSON object");
+            out.report(Severity::Error, whole_line, name + "-syntax",
+                       name + " line must be a JSON object");
             continue;
         }
+        visit(number, doc);
+    }
+    return true;
+}
+
+JournalContents
+decodeJournal(const std::string &text, check::CheckResult &out)
+{
+    JournalContents contents;
+    // What the spec line says records must carry, for cross-line rules.
+    std::string spec_workload;
+    std::string spec_backend;
+    long spec_min = -1;
+    long spec_max = -1;
+    long last_run = -1;
+    size_t measured_rounds = 0;
+
+    auto visit = [&](uint32_t line, const json::Value &doc) {
+        json::Location whole_line{line, 1};
         std::string type = doc.getString("type", "");
         if (type == "spec") {
-            if (have_spec) {
+            if (!contents.spec.isNull()) {
                 out.report(Severity::Error, whole_line, "journal-order",
                            "duplicate spec line; a journal describes "
                            "exactly one campaign");
-                continue;
+                return;
             }
-            if (i != 0) {
+            if (line != 1) {
                 out.report(Severity::Warning, whole_line,
                            "journal-order",
                            "spec line is not the first line");
@@ -299,107 +306,93 @@ checkJournalText(const std::string &text, check::CheckResult &out)
             if (!spec || !spec->isObject()) {
                 out.report(Severity::Error, whole_line, "missing-field",
                            "spec line lacks a 'spec' object");
-                continue;
+                return;
             }
-            have_spec = true;
-            spec_workload = spec->getString("workload", "");
+            contents.spec = *spec;
             spec_backend = spec->getString("backend", "");
-            if (const json::Value *experiment =
-                    spec->find("experiment")) {
+            // A scenario run's records carry the scenario's own names
+            // (a trace replay keeps the recorded backend), and the
+            // phased backend always runs its one built-in workload.
+            if (spec_backend != "scenario" && spec_backend != "sim-phased")
+                spec_workload = spec->getString("workload", "");
+            if (spec_backend == "scenario")
+                spec_backend.clear();
+            const json::Value *experiment = spec->find("experiment");
+            if (experiment && experiment->isObject()) {
                 spec_min = experiment->getLong("min", -1);
                 spec_max = experiment->getLong("max", -1);
             }
         } else if (type == "round") {
-            if (done) {
+            if (contents.done) {
                 out.report(Severity::Error, whole_line, "journal-order",
                            "round recorded after the done marker");
             }
-            bool warmup = doc.getBool("warmup", false);
-            if (!warmup)
-                ++measured_rounds;
-            long run = doc.getLong("run", -1);
-            if (run >= 0 && run <= last_run) {
-                out.report(
-                    Severity::Warning, whole_line, "journal-order",
-                    "run index " + std::to_string(run) +
-                        " does not advance past the previous round (" +
-                        std::to_string(last_run) + ")");
+            auto warmup = field(doc, "warmup", isBool, "a boolean", out);
+            if (auto run =
+                    field(doc, "run", isCount, "a non-negative integer",
+                          out)) {
+                long index = run->asLong();
+                if (index <= last_run) {
+                    out.report(Severity::Warning, whole_line,
+                               "journal-order",
+                               "run index " + std::to_string(index) +
+                                   " does not advance past the previous "
+                                   "round (" +
+                                   std::to_string(last_run) + ")");
+                }
+                last_run = index;
             }
-            if (run >= 0)
-                last_run = run;
             const json::Value *records = doc.find("records");
             if (!records || !records->isArray()) {
                 out.report(Severity::Error, whole_line, "missing-field",
                            "round line lacks a 'records' array");
-                continue;
+                return;
             }
+            ++contents.rounds;
+            if (warmup && warmup->asBool())
+                ++contents.warmupRounds;
+            else
+                ++measured_rounds;
             for (const auto &entry : records->asArray()) {
-                if (!entry.isObject()) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "wrong-type",
-                               "journal record must be an object");
-                    continue;
-                }
-                std::string failure =
-                    entry.getString("failure", "none");
-                try {
-                    failureKindFromName(failure);
-                } catch (const std::invalid_argument &) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "unknown-name",
-                               "unknown failure kind '" + failure +
-                                   "'");
-                }
-                std::string workload = entry.getString("workload", "");
-                if (have_spec && !spec_workload.empty() &&
-                    workload != spec_workload) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "journal-spec-mismatch",
-                               "record workload '" + workload +
-                                   "' disagrees with the journaled "
-                                   "spec ('" +
-                                   spec_workload + "')");
+                RunRecord record = recordFromJson(entry, out);
+                if (!spec_workload.empty() &&
+                    record.workload != spec_workload) {
+                    out.error(entry, "journal-spec-mismatch",
+                              "record workload '" + record.workload +
+                                  "' disagrees with the journaled spec "
+                                  "('" +
+                                  spec_workload + "')");
                 }
                 // Fault injection decorates the backend name
                 // ("fault+sim") without changing the spec it runs.
-                std::string backend = entry.getString("backend", "");
+                std::string backend = record.backend;
                 if (backend == "fault+" + spec_backend)
                     backend = spec_backend;
-                if (have_spec && !spec_backend.empty() &&
-                    !backend.empty() && backend != spec_backend) {
-                    out.report(Severity::Error, locate(i, entry),
-                               "journal-spec-mismatch",
-                               "record backend '" + backend +
-                                   "' disagrees with the journaled "
-                                   "spec ('" +
-                                   spec_backend + "')");
+                if (!spec_backend.empty() && !backend.empty() &&
+                    backend != spec_backend) {
+                    out.error(entry, "journal-spec-mismatch",
+                              "record backend '" + backend +
+                                  "' disagrees with the journaled spec "
+                                  "('" +
+                                  spec_backend + "')");
                 }
-                if (const json::Value *metrics =
-                        entry.find("metrics")) {
-                    for (const auto &[name, value] :
-                         metrics->members()) {
-                        if (!value.isNumber()) {
-                            out.report(Severity::Error,
-                                       locate(i, value), "wrong-type",
-                                       "metric '" + name +
-                                           "' must be a number");
-                        }
-                    }
-                }
+                contents.records.push_back(std::move(record));
             }
         } else if (type == "done") {
-            if (done) {
+            if (contents.done) {
                 out.report(Severity::Warning, whole_line,
                            "journal-order", "duplicate done marker");
             }
-            done = true;
+            contents.done = true;
         } else {
             out.report(Severity::Error, whole_line, "journal-type",
                        "unknown journal line type '" + type + "'");
         }
-    }
+    };
+    if (!walkJsonl(text, journalFormat, contents, out, visit))
+        return contents;
 
-    if (!have_spec) {
+    if (contents.spec.isNull()) {
         out.warning("missing-spec",
                     "journal has no spec line; `sharp run --resume` "
                     "cannot rebuild the experiment from it");
@@ -413,7 +406,7 @@ checkJournalText(const std::string &text, check::CheckResult &out)
                         "experiment at " +
                         std::to_string(spec_max));
     }
-    if (done && spec_min > 0 &&
+    if (contents.done && spec_min > 0 &&
         measured_rounds < static_cast<size_t>(spec_min)) {
         out.warning("journal-underrun",
                     "journal finished with " +
@@ -421,12 +414,24 @@ checkJournalText(const std::string &text, check::CheckResult &out)
                         " measured rounds, below the spec minimum of " +
                         std::to_string(spec_min));
     }
+    return contents;
+}
+
+JournalContents
+readJournal(const std::string &path)
+{
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    JournalContents contents =
+        decodeJournal(util::readFileText(path), findings);
+    check::throwIfErrors(std::move(findings));
+    return contents;
 }
 
 void
-repairJournal(const std::string &path, const JournalContents &contents)
+checkJournalText(const std::string &text, check::CheckResult &out)
 {
-    repairJsonlTail(path, contents.validBytes, contents.terminated);
+    decodeJournal(text, out);
 }
 
 void

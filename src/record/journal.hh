@@ -14,13 +14,17 @@
  *
  * The reader tolerates a torn trailing line (a crash mid-write) by
  * discarding it, which is what makes `sharp run --resume` safe to
- * point at the journal of a killed process.
+ * point at the journal of a killed process. Anything else malformed
+ * is a located error: the reader and `sharp check` share one decoder,
+ * so a journal replays exactly when it lints without errors.
  */
 
 #ifndef SHARP_RECORD_JOURNAL_HH
 #define SHARP_RECORD_JOURNAL_HH
 
+#include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -91,8 +95,23 @@ class RunJournal
     std::FILE *file = nullptr;
 };
 
+/** Where the valid prefix of a JSONL text ends. */
+struct JsonlTail
+{
+    /** True when a torn trailing line was discarded. */
+    bool truncated = false;
+    /**
+     * Byte length of the valid prefix: everything up to and including
+     * the last parsed line (and its newline, when present). Appending
+     * must happen at this offset — see repairJsonlTail().
+     */
+    size_t validBytes = 0;
+    /** True when the valid prefix ends with a newline. */
+    bool terminated = true;
+};
+
 /** Everything a journal file holds, parsed back. */
-struct JournalContents
+struct JournalContents : JsonlTail
 {
     /** The reproduction spec from the header line (null if absent). */
     json::Value spec;
@@ -104,42 +123,57 @@ struct JournalContents
     size_t warmupRounds = 0;
     /** True when the clean-completion marker is present. */
     bool done = false;
-    /** True when a torn trailing line was discarded. */
-    bool truncated = false;
-    /**
-     * Byte length of the valid prefix: everything up to and including
-     * the last parsed line (and its newline, when present). Appending
-     * must happen at this offset — see repairJournal().
-     */
-    size_t validBytes = 0;
-    /** True when the valid prefix ends with a newline. */
-    bool terminated = true;
+};
+
+/** How walkJsonl() names one JSONL format's shared findings. */
+struct JsonlFormat
+{
+    /** Rule stem: "empty-<name>", "truncated-<name>", "<name>-syntax". */
+    const char *name;
+    const char *emptyMessage;
+    /** Warning message and fix hint for a torn final line. */
+    const char *tornMessage;
+    const char *tornHint;
 };
 
 /**
- * Read a journal written by RunJournal. A torn trailing line (crash
- * mid-write) is discarded and flagged rather than treated as an error.
- * @throws std::runtime_error when the file cannot be read or a
- *         non-trailing line is malformed.
+ * The one JSONL line walker under every JSONL decoder. Each line is
+ * parsed alone, its values stamped with the 1-based file line, and
+ * each object line goes to @p visit. A final line that does not parse
+ * is a torn tail (a crash mid-append): a warning, flagged in @p tail
+ * and left out of its valid prefix. Any other malformed or non-object
+ * line is an error.
+ * @return false, after an "empty-<name>" warning, when @p text holds
+ *         no lines.
  */
-JournalContents readJournal(const std::string &path);
+bool walkJsonl(const std::string &text, const JsonlFormat &format,
+               JsonlTail &tail, check::CheckResult &out,
+               const std::function<void(uint32_t line,
+                                        const json::Value &doc)> &visit);
 
 /**
- * Make @p path safe to append to: drop a torn trailing fragment (a
- * crash mid-write) by truncating the file to @p contents.validBytes,
- * and terminate an unterminated final line with a newline. Without
- * this, the first appended line after a resume would fuse onto the
- * fragment into one malformed line, leaving the journal unresumable.
- * A clean journal is left untouched.
- *
- * Callers rarely need to invoke this directly: RunJournal's Resume
- * mode repairs the tail itself before appending, so every journal
- * open — CLI `--resume`, daemon failover, restart after a crash —
- * goes through the same repair no matter who opens the file.
- * @throws std::runtime_error when the file cannot be modified.
+ * The run-journal decoder, behind both readJournal() and `sharp
+ * check`: builds the contents and reports every structural and
+ * cross-line finding, located. Errors are what a replay cannot trust
+ * (a duplicate spec line, a round after the done marker, mistyped
+ * record fields, records contradicting the spec, ...); warnings are
+ * what it can (a torn tail, a late or missing spec line, run indices
+ * that do not advance, round counts outside the spec's min/max).
+ * Fields a record omits keep their RunRecord defaults. Registry lints
+ * of the spec are `sharp check`'s alone, so a journal still replays
+ * after a later build drops its workload. Never throws.
  */
-void repairJournal(const std::string &path,
-                   const JournalContents &contents);
+JournalContents decodeJournal(const std::string &text,
+                              check::CheckResult &out);
+
+/**
+ * Read a journal written by RunJournal: decodeJournal() on the file,
+ * refused when it reports an error. A torn trailing line (crash
+ * mid-write) is discarded and flagged.
+ * @throws std::runtime_error when the file cannot be read.
+ * @throws check::CheckFailure carrying the located diagnostics.
+ */
+JournalContents readJournal(const std::string &path);
 
 /**
  * The one JSONL append path: write @p line plus its newline to
@@ -156,11 +190,13 @@ void appendJsonlLine(std::FILE *file, const std::string &line,
                      const std::string &what);
 
 /**
- * The format-agnostic tail repair under repairJournal(): truncate
- * @p path to @p validBytes when the file has grown past it (a torn
- * trailing fragment), then append the missing final newline when
- * @p terminated is false. Shared by every JSONL artifact that appends
- * after a crash (run journals, the daemon's campaign queue).
+ * Make @p path safe to append to after a crash: truncate it to
+ * @p validBytes when it has grown past (a torn trailing fragment),
+ * then append the missing final newline when @p terminated is false.
+ * Without this the first append would fuse onto the fragment into one
+ * malformed line. Every JSONL artifact that appends after a crash
+ * repairs on open — RunJournal in Resume mode, QueueJournal always —
+ * so CLI `--resume`, daemon failover and restart share one repair.
  * @throws std::runtime_error when the file cannot be modified.
  */
 void repairJsonlTail(const std::string &path, size_t validBytes,
@@ -169,20 +205,15 @@ void repairJsonlTail(const std::string &path, size_t validBytes,
 /** Serialize one record to its journal JSON object (round-trips). */
 json::Value recordToJson(const RunRecord &record);
 
-/** Parse a record serialized by recordToJson(). */
-RunRecord recordFromJson(const json::Value &doc);
-
 /**
- * Static analysis of journal text (the JSONL file contents): per-line
- * syntax diagnostics, lifecycle-order problems (rounds after the done
- * marker, duplicate spec lines, non-monotonic run indices), records
- * that disagree with the journaled spec (wrong workload or backend),
- * and round counts outside the spec's sampling bounds. A torn
- * trailing line is a warning — the reader discards it and resume
- * repairs it — while any other malformed line is an error. Line
- * numbers in the diagnostics are 1-based journal lines. Never throws;
- * findings are appended to @p out.
+ * Parse a record serialized by recordToJson(). Absent fields keep
+ * their RunRecord defaults; a present field of the wrong type (or an
+ * unknown failure kind) is reported to @p out at its location and
+ * left at its default.
  */
+RunRecord recordFromJson(const json::Value &doc, check::CheckResult &out);
+
+/** `sharp check`'s journal pass: decodeJournal(), findings only. */
 void checkJournalText(const std::string &text, check::CheckResult &out);
 
 } // namespace record

@@ -79,19 +79,13 @@ int
 runWorkerProcess(const std::string &dir, const json::Value &specDoc,
                  size_t incarnation, int heartbeatFd)
 {
-    struct sigaction action = {};
-    action.sa_handler = workerSignalHandler;
-    sigaction(SIGTERM, &action, nullptr);
-    sigaction(SIGINT, &action, nullptr);
-    std::signal(SIGPIPE, SIG_IGN);
-
     try {
         std::string journalPath = dir + "/journal.jsonl";
         std::string base = dir + "/result";
 
         // Failover or restart: the campaign's own journal is the
-        // authority. loadResumedCampaign repairs a torn tail, so a
-        // SIGKILLed predecessor can never poison this incarnation.
+        // authority. Reopening it in Resume mode repairs a torn tail,
+        // so a SIGKILLed predecessor can never poison this incarnation.
         launcher::ResumedCampaign resumed;
         bool resuming = util::fileExists(journalPath);
         if (resuming)
@@ -290,7 +284,18 @@ Supervisor::spawn(size_t slotIndex, size_t entryIndex)
     // journal may exist for this campaign.
     queue->start(entry.c.id, slotIndex);
 
+    // A forked child runs the supervisor's handlers until it installs
+    // the worker's, and a drain's SIGTERM landing there would be lost
+    // (the worker would run on instead of parking). Fork with the stop
+    // signals blocked; the child unblocks them after its handlers.
+    sigset_t stop_signals, previous;
+    sigemptyset(&stop_signals);
+    sigaddset(&stop_signals, SIGTERM);
+    sigaddset(&stop_signals, SIGINT);
+    ::sigprocmask(SIG_BLOCK, &stop_signals, &previous);
     pid_t pid = ::fork();
+    if (pid != 0)
+        ::sigprocmask(SIG_SETMASK, &previous, nullptr);
     if (pid < 0) {
         err << "fork failed for " << entry.c.id << ": "
             << std::strerror(errno) << "\n";
@@ -305,6 +310,12 @@ Supervisor::spawn(size_t slotIndex, size_t entryIndex)
         ::prctl(PR_SET_PDEATHSIG, SIGKILL);
         if (::getppid() == 1)
             std::_Exit(1);
+        struct sigaction action = {};
+        action.sa_handler = workerSignalHandler;
+        sigaction(SIGTERM, &action, nullptr);
+        sigaction(SIGINT, &action, nullptr);
+        std::signal(SIGPIPE, SIG_IGN);
+        ::sigprocmask(SIG_SETMASK, &previous, nullptr);
         heartbeat.closeRead();
         util::closeQuietly(listenFd);
         for (const auto &[fd, buffer] : clients)
@@ -826,6 +837,11 @@ runDaemon(const ServeOptions &options, std::ostream &out,
     try {
         Supervisor supervisor(options, out, err);
         return supervisor.run();
+    } catch (const check::CheckFailure &failure) {
+        // A queue journal replay refuses: name every located finding.
+        err << "serve: cannot replay the campaign queue\n"
+            << failure.result().renderText() << std::flush;
+        return 2;
     } catch (const std::exception &problem) {
         err << "serve: " << problem.what() << std::endl;
         return 1;

@@ -8,7 +8,6 @@
 #include "check/diagnostic.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
-#include "launcher/reproduce.hh"
 #include "record/journal.hh"
 #include "util/fs.hh"
 #include "util/string_utils.hh"
@@ -22,6 +21,13 @@ namespace
 {
 
 constexpr const char *queueSchema = "sharp-queue-v1";
+
+const record::JsonlFormat queueFormat = {
+    "queue", "queue journal holds no lines",
+    "torn trailing line (crash mid-append); the daemon repairs it on "
+    "restart",
+    "restart `sharp serve` on the same state directory to repair and "
+    "resume"};
 
 const std::vector<std::string> eventNames = {
     "submit", "start", "failover", "done",
@@ -56,13 +62,11 @@ campaignStateName(CampaignState state)
 }
 
 QueueContents
-readQueue(const std::string &path)
+decodeQueue(const std::string &text, check::CheckResult &out)
 {
-    QueueContents contents;
-    if (!util::fileExists(path))
-        return contents;
-    std::string text = util::readFileText(path);
+    using check::Severity;
 
+    QueueContents contents;
     auto find = [&contents](const std::string &id) -> Campaign * {
         for (auto &campaign : contents.campaigns) {
             if (campaign.id == id)
@@ -70,68 +74,68 @@ readQueue(const std::string &path)
         }
         return nullptr;
     };
+    // An optional string member; any other type is an error.
+    auto text_field = [&out](const json::Value &doc, const char *key,
+                             const char *fallback) {
+        const json::Value *value = doc.find(key);
+        if (value && !value->isString())
+            out.error(*value, "wrong-type",
+                      "'" + std::string(key) + "' must be a string");
+        return value && value->isString() ? value->asString()
+                                          : std::string(fallback);
+    };
 
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
     bool saw_schema = false;
-    size_t offset = 0;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        size_t start = offset;
-        offset += line.size() + 1;
-        if (line.empty())
-            continue;
-        bool last = i == last_nonempty;
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const std::exception &) {
-            if (last) {
-                contents.truncated = true;
-                break;
-            }
-            throw std::runtime_error("malformed queue line " +
-                                     std::to_string(i + 1) + " in '" +
-                                     path + "'");
-        }
-        bool has_newline = start + line.size() < text.size();
-        contents.validBytes = start + line.size() + (has_newline ? 1 : 0);
-        contents.terminated = has_newline;
-        if (!doc.isObject()) {
-            throw std::runtime_error("queue line " +
-                                     std::to_string(i + 1) + " in '" +
-                                     path + "' is not an object");
-        }
+    auto visit = [&](uint32_t line, const json::Value &doc) {
+        json::Location whole_line{line, 1};
         if (!saw_schema) {
-            if (doc.getString("schema", "") != queueSchema) {
-                throw std::runtime_error(
-                    "'" + path + "' lacks the '" +
-                    std::string(queueSchema) + "' schema header");
-            }
             saw_schema = true;
-            continue;
+            if (doc.getString("schema", "") != queueSchema) {
+                out.report(Severity::Error, whole_line, "queue-schema",
+                           "first line must carry the '" +
+                               std::string(queueSchema) +
+                               "' schema header");
+            }
+            return;
         }
         std::string event = doc.getString("event", "");
+        if (event.empty()) {
+            out.report(Severity::Error, whole_line, "missing-field",
+                       "queue event lacks an 'event' name");
+            return;
+        }
+        if (std::find(eventNames.begin(), eventNames.end(), event) ==
+            eventNames.end()) {
+            out.report(Severity::Error, whole_line, "unknown-event",
+                       "unknown queue event '" + event + "'",
+                       check::suggestName(event, eventNames));
+            return;
+        }
         if (event == "drain")
-            continue; // informational; per-campaign state is authoritative
+            return; // informational; per-campaign state is authoritative
         std::string id = doc.getString("id", "");
+        if (id.empty()) {
+            out.report(Severity::Error, whole_line, "missing-field",
+                       "'" + event + "' event lacks an 'id'");
+            return;
+        }
+        Campaign *campaign = find(id);
         if (event == "submit") {
-            if (find(id)) {
-                throw std::runtime_error("duplicate submit for '" + id +
-                                         "' in '" + path + "'");
+            if (campaign) {
+                out.report(Severity::Error, whole_line, "queue-order",
+                           "duplicate submit for campaign '" + id + "'");
+                return;
             }
-            Campaign campaign;
-            campaign.id = id;
-            campaign.tenant = doc.getString("tenant", "default");
-            if (const json::Value *spec = doc.find("spec"))
-                campaign.spec = *spec;
-            contents.campaigns.push_back(std::move(campaign));
+            Campaign submitted;
+            submitted.id = id;
+            submitted.tenant = text_field(doc, "tenant", "default");
+            const json::Value *spec = doc.find("spec");
+            if (spec && spec->isObject())
+                submitted.spec = *spec;
+            else
+                out.report(Severity::Error, whole_line, "missing-field",
+                           "submit event lacks a 'spec' object");
+            contents.campaigns.push_back(std::move(submitted));
             // Ids are allocated as "c<number>"; replay the counter so
             // a restarted daemon never reuses an id.
             if (id.size() > 1 && id[0] == 'c') {
@@ -143,13 +147,21 @@ readQueue(const std::string &path)
                             static_cast<size_t>(*number) + 1;
                 }
             }
-            continue;
+            return;
         }
-        Campaign *campaign = find(id);
         if (!campaign) {
-            throw std::runtime_error("queue event '" + event +
-                                     "' for unknown campaign '" + id +
-                                     "' in '" + path + "'");
+            out.report(Severity::Error, whole_line, "queue-order",
+                       "'" + event + "' event for campaign '" + id +
+                           "' before its submit");
+            return;
+        }
+        if (isTerminal(campaign->state)) {
+            out.report(Severity::Error, whole_line, "queue-order",
+                       "'" + event + "' event for campaign '" + id +
+                           "' after its terminal '" +
+                           campaignStateName(campaign->state) +
+                           "' state");
+            return;
         }
         if (event == "start") {
             campaign->started = true;
@@ -163,14 +175,25 @@ readQueue(const std::string &path)
             campaign->state = CampaignState::Done;
         } else if (event == "failed") {
             campaign->state = CampaignState::Failed;
-            campaign->reason = doc.getString("reason", "");
+            campaign->reason = text_field(doc, "reason", "");
         } else if (event == "cancel") {
             campaign->state = CampaignState::Cancelled;
-        } else {
-            throw std::runtime_error("unknown queue event '" + event +
-                                     "' in '" + path + "'");
         }
-    }
+    };
+    record::walkJsonl(text, queueFormat, contents, out, visit);
+    return contents;
+}
+
+QueueContents
+readQueue(const std::string &path)
+{
+    if (!util::fileExists(path))
+        return QueueContents{};
+    check::CheckResult findings;
+    findings.setArtifact(path);
+    QueueContents contents =
+        decodeQueue(util::readFileText(path), findings);
+    check::throwIfErrors(std::move(findings));
     return contents;
 }
 
@@ -301,144 +324,7 @@ looksLikeQueueJournal(const std::string &text)
 void
 checkQueueText(const std::string &text, check::CheckResult &out)
 {
-    using check::Severity;
-
-    auto lines = util::split(text, '\n');
-    size_t last_nonempty = lines.size();
-    for (size_t i = lines.size(); i-- > 0;) {
-        if (!lines[i].empty()) {
-            last_nonempty = i;
-            break;
-        }
-    }
-    if (last_nonempty == lines.size()) {
-        out.warning("empty-queue", "queue journal holds no lines");
-        return;
-    }
-
-    // id -> state, folded as we walk; "" reason strings elided.
-    std::vector<std::pair<std::string, CampaignState>> states;
-    auto stateOf =
-        [&states](const std::string &id) -> CampaignState * {
-        for (auto &[known, state] : states) {
-            if (known == id)
-                return &state;
-        }
-        return nullptr;
-    };
-
-    bool saw_schema = false;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        const std::string &line = lines[i];
-        if (line.empty())
-            continue;
-        json::Location whole_line{static_cast<uint32_t>(i + 1), 1};
-        json::Value doc;
-        try {
-            doc = json::parse(line);
-        } catch (const std::exception &problem) {
-            if (i == last_nonempty) {
-                out.report(Severity::Warning, whole_line,
-                           "truncated-queue",
-                           "torn trailing line (crash mid-append); the "
-                           "daemon repairs it on restart",
-                           "restart `sharp serve` on the same state "
-                           "directory to repair and resume");
-            } else {
-                out.report(Severity::Error, whole_line, "queue-syntax",
-                           std::string("malformed queue line: ") +
-                               problem.what());
-            }
-            continue;
-        }
-        if (!doc.isObject()) {
-            out.report(Severity::Error, whole_line, "queue-syntax",
-                       "queue line must be a JSON object");
-            continue;
-        }
-        if (!saw_schema) {
-            if (doc.getString("schema", "") != queueSchema) {
-                out.report(Severity::Error, whole_line, "queue-schema",
-                           "first line must carry the '" +
-                               std::string(queueSchema) +
-                               "' schema header");
-            }
-            saw_schema = true;
-            continue;
-        }
-        std::string event = doc.getString("event", "");
-        if (event.empty()) {
-            out.report(Severity::Error, whole_line, "missing-field",
-                       "queue event lacks an 'event' name");
-            continue;
-        }
-        if (std::find(eventNames.begin(), eventNames.end(), event) ==
-            eventNames.end()) {
-            out.report(Severity::Error, whole_line, "unknown-event",
-                       "unknown queue event '" + event + "'",
-                       check::suggestName(event, eventNames));
-            continue;
-        }
-        if (event == "drain")
-            continue;
-        std::string id = doc.getString("id", "");
-        if (id.empty()) {
-            out.report(Severity::Error, whole_line, "missing-field",
-                       "'" + event + "' event lacks an 'id'");
-            continue;
-        }
-        CampaignState *state = stateOf(id);
-        if (event == "submit") {
-            if (state) {
-                out.report(Severity::Error, whole_line, "queue-order",
-                           "duplicate submit for campaign '" + id +
-                               "'");
-                continue;
-            }
-            const json::Value *spec = doc.find("spec");
-            if (!spec || !spec->isObject()) {
-                out.report(Severity::Error, whole_line, "missing-field",
-                           "submit event lacks a 'spec' object");
-            } else {
-                // Deep-check the spec so a queue full of unusable
-                // campaigns is caught at rest, not at dispatch. The
-                // per-line parse resets positions, so findings are
-                // re-anchored to the journal line.
-                check::CheckResult spec_findings;
-                launcher::checkRunSpec(*spec, spec_findings);
-                for (const auto &finding : spec_findings.diagnostics()) {
-                    out.report(finding.severity, whole_line,
-                               finding.rule,
-                               "in submitted spec '" + id +
-                                   "': " + finding.message,
-                               finding.hint);
-                }
-            }
-            states.emplace_back(id, CampaignState::Queued);
-            continue;
-        }
-        if (!state) {
-            out.report(Severity::Error, whole_line, "queue-order",
-                       "'" + event + "' event for campaign '" + id +
-                           "' before its submit");
-            continue;
-        }
-        if (isTerminal(*state)) {
-            out.report(Severity::Error, whole_line, "queue-order",
-                       "'" + event + "' event for campaign '" + id +
-                           "' after its terminal '" +
-                           campaignStateName(*state) + "' state");
-            continue;
-        }
-        if (event == "start" || event == "failover")
-            *state = CampaignState::Queued;
-        else if (event == "done")
-            *state = CampaignState::Done;
-        else if (event == "failed")
-            *state = CampaignState::Failed;
-        else if (event == "cancel")
-            *state = CampaignState::Cancelled;
-    }
+    decodeQueue(text, out);
 }
 
 } // namespace serve

@@ -10,7 +10,8 @@
  * events, campaigns that were running resume from their own run
  * journals, and nothing the daemon accepted is ever lost. The torn
  * tail a crash can leave is repaired on open through the same
- * repairJsonlTail() path run journals use.
+ * repairJsonlTail() path run journals use, and the same JSONL walker
+ * (record::walkJsonl) reads both formats.
  */
 
 #ifndef SHARP_SERVE_QUEUE_HH
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "json/value.hh"
+#include "record/journal.hh"
 
 namespace sharp
 {
@@ -67,27 +69,33 @@ struct Campaign
 };
 
 /** Everything a queue journal holds, folded back into queue state. */
-struct QueueContents
+struct QueueContents : record::JsonlTail
 {
     /** Campaigns in submission order. */
     std::vector<Campaign> campaigns;
     /** 1 + the highest numeric id suffix seen (first free id number). */
     size_t nextIdNumber = 1;
-    /** True when a torn trailing line was discarded. */
-    bool truncated = false;
-    /** Byte length of the valid prefix (see record::JournalContents). */
-    size_t validBytes = 0;
-    /** True when the valid prefix ends with a newline. */
-    bool terminated = true;
 };
 
 /**
- * Read and fold a queue journal. A torn trailing line is discarded
- * and flagged; campaigns whose last event is non-terminal come back
- * as Queued — "running" is not a fact a dead daemon can assert.
- * A missing file folds to an empty queue.
- * @throws std::runtime_error on unreadable files or malformed
- *         non-trailing lines.
+ * The queue-journal decoder, behind both readQueue() and `sharp
+ * check`: folds the events into campaign state and reports every
+ * structural and lifecycle finding, located. Errors are what a replay
+ * cannot trust (no schema header, an unknown or id-less event, a
+ * submit without a spec, an event before its submit or after its
+ * campaign's terminal state, ...); a torn tail is a warning. Campaigns
+ * whose last event is non-terminal come back as Queued — "running" is
+ * not a fact a dead daemon can assert. Submitted specs are kept
+ * verbatim: their registry lints are `sharp check`'s alone. Never
+ * throws.
+ */
+QueueContents decodeQueue(const std::string &text, check::CheckResult &out);
+
+/**
+ * Read and fold a queue journal: decodeQueue() on the file, refused
+ * when it reports an error. A missing file folds to an empty queue.
+ * @throws std::runtime_error when the file cannot be read.
+ * @throws check::CheckFailure carrying the located diagnostics.
  */
 QueueContents readQueue(const std::string &path);
 
@@ -133,15 +141,7 @@ class QueueJournal
     std::FILE *file = nullptr;
 };
 
-/**
- * Static analysis of queue-journal text: schema header, per-line
- * syntax (a torn trailing line is a warning, anything else an error),
- * unknown event names (with did-you-mean hints), missing fields, and
- * lifecycle-order violations (events for unsubmitted ids, duplicate
- * submits, events after a terminal state). Submitted specs are
- * deep-checked with the run-spec analyzer. Line numbers are 1-based
- * journal lines. Never throws; findings are appended to @p out.
- */
+/** `sharp check`'s queue pass: decodeQueue(), findings only. */
 void checkQueueText(const std::string &text, check::CheckResult &out);
 
 /**

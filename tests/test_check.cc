@@ -226,6 +226,38 @@ TEST(CheckJournal, FlagsRoundsThatDisagreeWithTheSpec)
     EXPECT_EQ(mismatch->line, 2u);
 }
 
+TEST(CheckJournal, ScenarioAndPhasedRecordsMatchTheirSpec)
+{
+    // A trace replay keeps the recorded backend under spec backend
+    // "scenario", and the phased backend runs leukocyte whatever
+    // workload the spec names: neither contradicts its spec.
+    for (const char *spec :
+         {R"({"backend":"scenario","workload":"bfs","scenario":"t.json"})",
+          R"({"backend":"sim-phased","workload":"bfs"})"}) {
+        std::string text =
+            R"({"type":"spec","spec":)" + std::string(spec) + "}\n" +
+            R"({"type":"round","run":0,"records":[{"workload":)"
+            R"("leukocyte","backend":"sim-phased","failure":"none"}]})" +
+            "\n";
+        CheckResult result;
+        record::checkJournalText(text, result);
+        EXPECT_TRUE(result.clean()) << spec << "\n" << result.renderText();
+    }
+}
+
+TEST(CheckRunSpec, DayMustFitAnInt)
+{
+    CheckResult result;
+    launcher::checkRunSpec(
+        json::parse("{\"backend\": \"sim\", \"workload\": \"bfs\",\n"
+                    " \"day\": 4294967297}"),
+        result);
+    ASSERT_EQ(result.errorCount(), 1u) << result.renderText();
+    EXPECT_EQ(result.diagnostics().front().rule, "out-of-range");
+    EXPECT_EQ(result.diagnostics().front().line, 2u);
+    EXPECT_EQ(result.diagnostics().front().column, 9u);
+}
+
 TEST(CheckJournal, FlagsRoundAfterDoneAndOverrun)
 {
     std::string text =

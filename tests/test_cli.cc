@@ -213,6 +213,120 @@ TEST(Cli, RunRejectsBadRetryFlags)
     EXPECT_EQ(rate.status, 2);
 }
 
+TEST(Cli, FloatFlagRangesShareTheFlagParser)
+{
+    // Ranged floating-point and retry flags go through parseFlag, so
+    // each bad value exits 2 with the same "cmd: --flag must be ..."
+    // message shape as every other numeric flag.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"run", "--workload", "bfs", "--retries", "-1"},
+             "run: --retries must be an integer >= 0"},
+            {{"suite", "--retries", "x"},
+             "suite: --retries must be an integer >= 0"},
+            {{"run", "--workload", "bfs", "--retry-backoff", "-0.5"},
+             "run: --retry-backoff must be a number >= 0"},
+            {{"run", "--workload", "bfs", "--max-failure-rate", "0"},
+             "run: --max-failure-rate must be in (0, 1]"},
+            {{"run", "--workload", "bfs", "--max-failure-rate", "1.01"},
+             "run: --max-failure-rate must be in (0, 1]"},
+            {{"serve", "--socket", "s", "--state-dir", "d",
+              "--round-deadline", "0"},
+             "serve: --round-deadline must be a number > 0"},
+            {{"client", "wait", "c000001", "--socket", "s", "--timeout",
+              "-1"},
+             "client: --timeout must be a number > 0"},
+        };
+    for (const auto &[argv, message] : cases) {
+        CliResult result = run(argv);
+        EXPECT_EQ(result.status, 2) << message;
+        EXPECT_EQ(result.err, message + "\n");
+    }
+}
+
+TEST(Cli, SpecFlagsAreRejectedNextToConfigOrResume)
+{
+    // A --config or --resume run takes its spec from the artifact, so
+    // a spec flag next to it could only be ignored: it is refused.
+    for (const char *flag :
+         {"--workload", "--scenario", "--machine", "--rule", "--threshold",
+          "--level", "--count", "--min", "--quantile", "--prominence",
+          "--max", "--day", "--seed", "--concurrency"}) {
+        for (const char *source : {"--config", "--resume"}) {
+            CliResult result =
+                run({"run", source, "/no/such/artifact", flag, "1"});
+            EXPECT_EQ(result.status, 2) << source << " " << flag;
+            EXPECT_NE(result.err.find(std::string(flag) +
+                                      " cannot be combined with " +
+                                      source),
+                      std::string::npos)
+                << result.err;
+            EXPECT_NE(result.err.find("set it in the spec"),
+                      std::string::npos);
+        }
+    }
+}
+
+TEST(Cli, MalformedSpecsAndJournalsAreArtifactErrors)
+{
+    fs::path dir = fs::temp_directory_path() / "sharp_cli_malformed";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // A spec that fails validation: exit 2, located in the file.
+    fs::path spec = dir / "spec.json";
+    std::ofstream(spec) << "{\"backend\": \"sim\", \"workload\": \"bfs\",\n"
+                           " \"concurrency\": 0}\n";
+    CliResult config = run({"run", "--config", spec.string()});
+    EXPECT_EQ(config.status, 2);
+    EXPECT_NE(config.err.find(spec.string() + ":2:17: error:"),
+              std::string::npos)
+        << config.err;
+
+    // A journal with a second spec line must not resume with mixed
+    // seeds, and a round without a records array fails located.
+    fs::path duplicate = dir / "duplicate.jsonl";
+    fs::copy_file(std::string(SHARP_SOURCE_DIR) +
+                      "/tests/fixtures/check/journal_duplicate_spec.jsonl",
+                  duplicate);
+    CliResult resumed = run({"run", "--resume", duplicate.string()});
+    EXPECT_EQ(resumed.status, 2);
+    EXPECT_NE(resumed.err.find(duplicate.string() + ":4:1: error:"),
+              std::string::npos)
+        << resumed.err;
+    EXPECT_NE(resumed.err.find("[journal-order]"), std::string::npos);
+    CliResult captured = run({"baseline", "capture", duplicate.string(),
+                              "--out", (dir / "bundle.json").string()});
+    EXPECT_EQ(captured.status, 2);
+
+    fs::path records = dir / "records.jsonl";
+    {
+        std::ifstream in(duplicate);
+        std::string header;
+        std::getline(in, header);
+        std::ofstream(records)
+            << header << "\n{\"type\":\"round\",\"run\":0,\"records\":5}\n";
+    }
+    CliResult typed = run({"run", "--resume", records.string()});
+    EXPECT_EQ(typed.status, 2);
+    EXPECT_NE(typed.err.find(records.string() + ":2:1: error:"),
+              std::string::npos)
+        << typed.err;
+
+    // A journaled spec that fails validation is located in the journal.
+    fs::path header = dir / "header.jsonl";
+    std::ofstream(header)
+        << R"({"type":"spec","spec":{"backend":"sim","workload":"bfs",)"
+           R"("concurrency":0}})"
+        << "\n";
+    CliResult bad_header = run({"run", "--resume", header.string()});
+    EXPECT_EQ(bad_header.status, 2);
+    EXPECT_NE(bad_header.err.find(header.string() + ":1:"),
+              std::string::npos)
+        << bad_header.err;
+    fs::remove_all(dir);
+}
+
 TEST(Cli, NumericFlagsRejectMalformedAndNegativeValues)
 {
     // Every bad value exits 2 naming the flag before anything runs; none

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "check/diagnostic.hh"
 #include "core/stopping/ks_rule.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
@@ -122,6 +123,31 @@ TEST(Reproduce, FullWidthSeedsRoundTripThroughMetadata)
 
     record::MetadataDocument doc = log.toMetadata();
     doc.set("Configuration", "repro_seed", "-1");
+    EXPECT_THROW(launcher::reproSpecFromMetadata(doc),
+                 std::invalid_argument);
+}
+
+TEST(Reproduce, DaysOutsideIntAreRejectedNotNarrowed)
+{
+    // "day": 2^32 + 1 must not load as day 1 through a narrowing cast.
+    json::Value spec = hotspotSpec().toJson();
+    spec.set("day", 4294967297.0);
+    try {
+        ReproSpec::fromJson(spec);
+        ADD_FAILURE() << "an out-of-range day must not load";
+    } catch (const check::CheckFailure &failure) {
+        EXPECT_EQ(failure.result().diagnostics().front().rule,
+                  "out-of-range");
+    }
+    spec.set("day", 2.5);
+    EXPECT_THROW(ReproSpec::fromJson(spec), check::CheckFailure);
+    spec.set("day", -2147483648.0);
+    EXPECT_EQ(ReproSpec::fromJson(spec).day, -2147483647 - 1);
+
+    record::RunLog log("hotspot");
+    launcher::annotate(log, hotspotSpec());
+    record::MetadataDocument doc = log.toMetadata();
+    doc.set("Configuration", "repro_day", "4294967297");
     EXPECT_THROW(launcher::reproSpecFromMetadata(doc),
                  std::invalid_argument);
 }

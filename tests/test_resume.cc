@@ -14,6 +14,7 @@
 #include <fstream>
 #include <memory>
 
+#include "check/diagnostic.hh"
 #include "core/stopping/fixed_rule.hh"
 #include "core/stopping/ks_rule.hh"
 #include "launcher/fault_backend.hh"
@@ -72,7 +73,9 @@ TEST(Journal, RecordJsonRoundTripsEveryKind)
     size_t run = 0;
     for (FailureKind kind : allFailureKinds()) {
         RunRecord rec = sampleRecord(run++, 1, 2, kind);
-        RunRecord back = recordFromJson(recordToJson(rec));
+        sharp::check::CheckResult findings;
+        RunRecord back = recordFromJson(recordToJson(rec), findings);
+        EXPECT_TRUE(findings.clean());
         EXPECT_EQ(back.run, rec.run);
         EXPECT_EQ(back.instance, rec.instance);
         EXPECT_EQ(back.attempt, rec.attempt);
@@ -130,12 +133,21 @@ TEST(Journal, TornTrailingLineIsDiscarded)
     EXPECT_EQ(contents.rounds, 1u);
     EXPECT_FALSE(contents.done);
 
-    // A malformed line in the middle is a hard error.
+    // A malformed line in the middle is a hard error, located.
     {
         std::ofstream more(path, std::ios::app);
         more << "\n{\"type\":\"done\"}\n";
     }
-    EXPECT_THROW(readJournal(path), std::runtime_error);
+    try {
+        readJournal(path);
+        ADD_FAILURE() << "a malformed middle line must not read";
+    } catch (const sharp::check::CheckFailure &failure) {
+        const auto &found = failure.result().diagnostics();
+        ASSERT_EQ(found.size(), 1u);
+        EXPECT_EQ(found[0].rule, "journal-syntax");
+        EXPECT_EQ(found[0].line, 3u);
+        EXPECT_EQ(found[0].artifact, path);
+    }
     fs::remove(path);
 }
 

@@ -15,11 +15,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "check/diagnostic.hh"
 #include "json/parser.hh"
 #include "json/writer.hh"
+#include "serve/daemon.hh"
 #include "serve/protocol.hh"
 #include "serve/queue.hh"
 #include "serve/state.hh"
@@ -186,6 +188,39 @@ TEST(ServeQueue, CheckerFlagsDefectsWithLocations)
     EXPECT_EQ(order.line, 2u);
     EXPECT_NE(order.message.find("before its submit"),
               std::string::npos);
+}
+
+TEST(ServeQueue, ReplayRefusesWhatCheckRejects)
+{
+    // Folding a stray start after done back to queued would run a
+    // finished campaign again, and a submit without a spec would
+    // replay as an empty campaign: both refuse to read.
+    for (const std::string &event :
+         {std::string(R"({"event":"start","id":"c000001","shard":1})"),
+          std::string(R"({"event":"submit","id":"c000002"})")}) {
+        std::string dir = tempPath("refuse_state");
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        {
+            QueueJournal journal(dir + "/queue.jsonl");
+            journal.submit("c000001", "default", minimalSpec());
+            journal.start("c000001", 0);
+            journal.done("c000001");
+        }
+        std::ofstream(dir + "/queue.jsonl", std::ios::app) << event << "\n";
+        EXPECT_THROW(readQueue(dir + "/queue.jsonl"), check::CheckFailure);
+
+        // The daemon refuses to start on it: exit 2, located.
+        ServeOptions options;
+        options.socketPath = dir + "/sock";
+        options.stateDir = dir;
+        std::ostringstream out, err;
+        EXPECT_EQ(runDaemon(options, out, err), 2);
+        EXPECT_NE(err.str().find(dir + "/queue.jsonl:5:1: error:"),
+                  std::string::npos)
+            << err.str();
+        fs::remove_all(dir);
+    }
 }
 
 // ---- Daemon state ---------------------------------------------------
